@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
-"""Benchmark the numba kernels against the pure-numpy fallbacks.
+"""Benchmark the hot kernels and one end-to-end Monte Carlo point.
 
-Times the two hot paths (sum-of-sinusoids fading synthesis and the
-per-symbol relay/combining chain) plus one end-to-end Monte Carlo point
-under each backend, and prints a comparison table.
+Times the two hot paths, sum-of-sinusoids fading synthesis (numpy only:
+it has a single implementation) and the per-symbol relay/combining chain
+(numba kernel against the numpy fallback when numba is installed), plus
+one end-to-end Monte Carlo point, and prints a comparison table.
 
 Usage:  python3 benchmarks/bench_backends.py [--taps N] [--symbols N]
 """
@@ -39,14 +40,7 @@ def bench_fading(n_taps):
     cos_a, sin_a, phi, psi = _draw_angles(16, rng)
     w_d = 2.0 * math.pi * 0.001
     args = (n_taps, w_d, cos_a, sin_a, phi, psi)
-    rows = {}
-    rows["numpy"] = timeit(lambda: _sos_taps_numpy_impl(*args))
-    if _backend.HAS_NUMBA:
-        from dafsc.fading import _sos_taps_numba
-
-        _sos_taps_numba(1024, w_d, cos_a, sin_a, phi, psi)  # compile
-        rows["numba"] = timeit(lambda: _sos_taps_numba(*args))
-    return rows
+    return {"numpy": timeit(lambda: _sos_taps_numpy_impl(*args))}
 
 
 def bench_chain(n_symbols):

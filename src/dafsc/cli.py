@@ -4,8 +4,9 @@ Subcommands: ``ber-curve``, ``power-sweep``, ``outage``, ``validate``.
 Values can also come from a key=value config file via ``--config``;
 explicit flags override file entries.
 
-Exit codes: 0 success, 1 usage error, 2 validation failure, 3 budget /
-convergence warnings escalated by ``--strict``.
+Exit codes: 0 success, 1 usage error, 2 validation failure, 3 budget
+warnings escalated by ``--strict`` or an analytical integral that did not
+converge.
 """
 
 import argparse
@@ -15,6 +16,7 @@ from dataclasses import fields
 
 from . import harness
 from .harness import ExperimentConfig
+from .specfn import QuadratureConvergenceError
 
 
 class _Parser(argparse.ArgumentParser):
@@ -82,12 +84,14 @@ def load_config_file(path: str) -> dict:
 def _add_common(sub):
     sub.add_argument("--config", help="key=value config file; flags override it")
     sub.add_argument("--mod", choices=["dbpsk", "dqpsk"], help="modulation")
-    sub.add_argument("--power-db", help="total power grid, list or start:stop:step (dB)")
+    sub.add_argument("--power-db", help="total power grid, list or start:stop:step (dB); "
+                     "for power-sweep, the powers swept")
     sub.add_argument("--q", type=float, help="power allocation fraction for the source")
     sub.add_argument("--amp", type=float, help="override the relay amplification factor")
     sub.add_argument("--doppler", type=float, help="normalized Doppler (fd*Ts)")
     sub.add_argument("--seed", type=int, help="master RNG seed")
-    sub.add_argument("--workers", type=int, help="worker threads for simulation")
+    sub.add_argument("--workers", type=int,
+                     help="accepted for compatibility (>= 1); trials run on one thread")
     sub.add_argument("--min-errors", type=int, help="bit-error target per point")
     sub.add_argument("--max-symbols", type=int, help="symbol budget per point")
     sub.add_argument("--analytical-only", action="store_true", default=None,
@@ -138,7 +142,8 @@ def _build_config(args) -> ExperimentConfig:
         "analytical_only": args.analytical_only,
     }
     if args.power_db is not None:
-        overrides["power_db"] = parse_grid(args.power_db)
+        key = "sweep_power_db" if args.command == "power-sweep" else "power_db"
+        overrides[key] = parse_grid(args.power_db)
     if getattr(args, "q_grid", None) is not None:
         overrides["q_grid"] = parse_grid(args.q_grid)
     kwargs.update({k: v for k, v in overrides.items() if v is not None})
@@ -205,6 +210,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except QuadratureConvergenceError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     raise AssertionError("unreachable")
 
 

@@ -13,13 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _backend
-from ._backend import compile_kernel
-
-# resynchronize the cosine recurrence often enough that rounding drift
-# stays below ~1e-10 of the unit tap amplitude
-_RESYNC = 8192
-
 
 @dataclass(frozen=True)
 class FadingConfig:
@@ -42,56 +35,33 @@ class FadingConfig:
 
 
 def _sos_taps_numpy_impl(length, w_d, cos_alpha, sin_alpha, phi, psi):
-    k = np.arange(length, dtype=np.float64)
-    re = np.zeros(length)
-    im = np.zeros(length)
-    for n in range(cos_alpha.shape[0]):
-        re += np.cos(w_d * cos_alpha[n] * k + phi[n])
-        im += np.cos(w_d * sin_alpha[n] * k + psi[n])
+    """Sum of ``cos(w_d*cos_alpha[n]*k + phi[n])`` (real arm) and of
+    ``cos(w_d*sin_alpha[n]*k + psi[n])`` (imaginary arm) over n, scaled to
+    unit variance, for k = 0 .. length-1.
+
+    Tap k is written k = b*M + m with block length M = ceil(sqrt(length)),
+    and angle addition gives
+
+        cos(w*k + p) = cos(w*b*M + p)*cos(w*m) - sin(w*b*M + p)*sin(w*m),
+
+    so each arm is two (blocks x N) @ (N x M) matrix products built from
+    about 4*N*sqrt(length) cosines and sines instead of N*length cosines.
+    """
     scale = 1.0 / math.sqrt(cos_alpha.shape[0])
-    return scale * (re + 1j * im)
-
-
-def _sos_taps_numba_impl(length, w_d, cos_alpha, sin_alpha, phi, psi):
-    re = np.zeros(length)
-    im = np.zeros(length)
-    n_osc = cos_alpha.shape[0]
-    for n in range(n_osc):
-        for arm in range(2):
-            if arm == 0:
-                omega = w_d * cos_alpha[n]
-                phase = phi[n]
-                out = re
-            else:
-                omega = w_d * sin_alpha[n]
-                phase = psi[n]
-                out = im
-            # two-term cosine recurrence, restarted every _RESYNC samples
-            # to keep rounding drift bounded
-            two_cos = 2.0 * math.cos(omega)
-            k = 0
-            while k < length:
-                c_prev = math.cos(omega * k + phase)
-                out[k] += c_prev
-                if k + 1 >= length:
-                    break
-                c_cur = math.cos(omega * (k + 1) + phase)
-                out[k + 1] += c_cur
-                stop = min(k + _RESYNC, length)
-                for j in range(k + 2, stop):
-                    c_next = two_cos * c_cur - c_prev
-                    out[j] += c_next
-                    c_prev = c_cur
-                    c_cur = c_next
-                k = stop
-    scale = 1.0 / math.sqrt(n_osc)
-    result = np.empty(length, dtype=np.complex128)
-    for j in range(length):
-        result[j] = complex(re[j] * scale, im[j] * scale)
-    return result
-
-
-_sos_taps_numba = compile_kernel(_sos_taps_numba_impl)
+    if w_d == 0.0:
+        # a static channel repeats tap 0 exactly; BLAS does not promise the
+        # same summation order for every element of a matrix product
+        return np.full(length, scale * complex(np.cos(phi).sum(), np.cos(psi).sum()))
+    block = math.isqrt(length - 1) + 1
+    n_blocks = -(-length // block)
+    omega = w_d * np.stack((cos_alpha, sin_alpha))  # (arm, n)
+    phase = np.stack((phi, psi))
+    block_starts = block * np.arange(n_blocks, dtype=np.float64)
+    outer = omega[:, None, :] * block_starts[:, None] + phase[:, None, :]  # (arm, b, n)
+    inner = omega[:, :, None] * np.arange(block, dtype=np.float64)  # (arm, n, m)
+    arms = np.cos(outer) @ np.cos(inner) - np.sin(outer) @ np.sin(inner)
+    arms = arms.reshape(2, -1)[:, :length]
+    return scale * (arms[0] + 1j * arms[1])
 
 
 def _draw_angles(num_sinusoids, rng):
@@ -120,8 +90,6 @@ def generate_fading(
         rng = np.random.default_rng(config.seed)
     cos_a, sin_a, phi, psi = _draw_angles(config.num_sinusoids, rng)
     w_d = 2.0 * np.pi * config.normalized_doppler
-    if _backend.using_numba():
-        return _sos_taps_numba(length, w_d, cos_a, sin_a, phi, psi)
     return _sos_taps_numpy_impl(length, w_d, cos_a, sin_a, phi, psi)
 
 

@@ -1,8 +1,10 @@
 """Independent numerical oracles shared by the analysis and acceptance tests.
 
-Both routes below avoid the production code path entirely: they integrate
-the rational conditional-average terms numerically (QUADPACK) instead of
-using the exponential-integral / Bessel closed forms under test.
+The analytical routes avoid the production code path entirely: they
+integrate the rational conditional-average terms numerically (QUADPACK)
+instead of using the exponential-integral / Bessel closed forms under test.
+The fading route sums the sinusoids one by one, the definition that the
+production synthesizer evaluates by angle addition.
 """
 
 import math
@@ -50,3 +52,16 @@ def outage_quadrature(gamma_th, profile):
 
     val, _ = quad(integrand, 0.0, np.inf, epsabs=1e-14, epsrel=1e-12, limit=300)
     return val
+
+
+def sos_taps_direct(length, w_d, cos_alpha, sin_alpha, phi, psi):
+    """Sum-of-sinusoids taps by direct evaluation of every sinusoid at
+    every tap: N*length cosines per arm."""
+    k = np.arange(length, dtype=np.float64)
+    re = np.zeros(length)
+    im = np.zeros(length)
+    for n in range(cos_alpha.shape[0]):
+        re += np.cos(w_d * cos_alpha[n] * k + phi[n])
+        im += np.cos(w_d * sin_alpha[n] * k + psi[n])
+    scale = 1.0 / math.sqrt(cos_alpha.shape[0])
+    return scale * (re + 1j * im)

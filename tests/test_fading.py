@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from dafsc import _backend
-from dafsc.fading import FadingConfig, generate_awgn, generate_fading
+from dafsc.fading import FadingConfig, _draw_angles, generate_awgn, generate_fading
 from dafsc.specfn import bessel_j0
+from oracles import sos_taps_direct
 
 
 class TestFadingConfig:
@@ -96,16 +96,25 @@ class TestFadingStatistics:
         mean_gain = np.mean(np.abs(h_sr * h_rd) ** 2)
         assert mean_gain == pytest.approx(1.0, abs=0.05)
 
-    @pytest.mark.skipif(not _backend.HAS_NUMBA, reason="numba unavailable")
-    def test_backends_agree(self):
-        from dafsc.fading import _draw_angles, _sos_taps_numba, _sos_taps_numpy_impl
 
-        rng = np.random.default_rng(9)
-        cos_a, sin_a, phi, psi = _draw_angles(16, rng)
-        w_d = 2 * math.pi * 0.003
-        a = _sos_taps_numba(50_000, w_d, cos_a, sin_a, phi, psi)
-        b = _sos_taps_numpy_impl(50_000, w_d, cos_a, sin_a, phi, psi)
-        np.testing.assert_allclose(a, b, atol=1e-8)
+class TestSynthesisMatchesDirectSum:
+    """The angle-addition synthesizer against the per-sinusoid sum, on the
+    angles ``generate_fading`` draws from the same seed."""
+
+    @staticmethod
+    def _max_gap(doppler, length, seed):
+        taps = generate_fading(FadingConfig(normalized_doppler=doppler, seed=seed), length)
+        angles = _draw_angles(16, np.random.default_rng(seed))
+        ref = sos_taps_direct(length, 2.0 * np.pi * doppler, *angles)
+        return float(np.max(np.abs(taps - ref)))
+
+    @pytest.mark.parametrize("doppler", [0.0, 0.001, 0.2, 0.49])
+    @pytest.mark.parametrize("length", [1, 2, 31, 32, 33, 1002])
+    def test_short_records(self, length, doppler):
+        assert self._max_gap(doppler, length, seed=length) <= 1e-12
+
+    def test_million_taps(self):
+        assert self._max_gap(0.001, 1_000_000, seed=4) <= 1e-11
 
 
 class TestAwgn:

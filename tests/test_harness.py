@@ -6,8 +6,9 @@ import json
 import numpy as np
 import pytest
 
-from dafsc import cli, harness, specfn
+from dafsc import analysis, cli, harness, specfn
 from dafsc.harness import (
+    DEFAULT_SEED,
     BerPoint,
     ExperimentConfig,
     ber_csv_text,
@@ -31,6 +32,21 @@ FAST_SIM = dict(
     batch_trials=16,
     seed=321,
 )
+
+GOLDEN_CSV = {
+    "dbpsk": (
+        "x,analytical,sim_sc,ci_sc,sim_mrc,ci_mrc,bits\n"
+        "10.00,4.08135e-02,5.03437e-02,1.32585e-02,4.31875e-02,1.25014e-02,32000\n"
+        "20.00,1.33295e-03,1.13667e-03,4.10394e-04,9.26667e-04,3.59645e-04,300000\n"
+        "30.00,2.40945e-05,2.33333e-05,2.99062e-05,1.00000e-05,1.45992e-05,300000\n"
+    ),
+    "dqpsk": (
+        "x,analytical,sim_sc,ci_sc,sim_mrc,ci_mrc,bits\n"
+        "10.00,8.44159e-02,9.14531e-02,1.68030e-02,7.96250e-02,1.61165e-02,64000\n"
+        "20.00,4.46201e-03,4.13542e-03,1.47968e-03,2.91667e-03,1.19879e-03,192000\n"
+        "30.00,9.70321e-05,8.00000e-05,5.53059e-05,5.50000e-05,3.80129e-05,600000\n"
+    ),
+}
 
 
 class TestExperimentConfig:
@@ -102,6 +118,17 @@ class TestBerCurve:
             cfg = ExperimentConfig(workers=workers, **FAST_SIM)
             points, _ = run_ber_curve(cfg)
             assert ber_csv_text(points) == ber_csv_text(base)
+
+    @pytest.mark.parametrize("modulation", ["dbpsk", "dqpsk"])
+    def test_fixed_seed_csv_bytes(self, modulation):
+        # frozen output of the per-sinusoid fading sum; the synthesis
+        # algorithm may change, these bytes may not
+        cfg = ExperimentConfig(modulation=modulation, power_db=(10.0, 20.0, 30.0),
+                               seed=DEFAULT_SEED, min_bit_errors=100,
+                               max_symbols=300_000, frames_per_trial=2,
+                               frame_length=250)
+        points, _ = run_ber_curve(cfg)
+        assert ber_csv_text(points) == GOLDEN_CSV[modulation]
 
     def test_budget_warning_flagged(self):
         cfg = ExperimentConfig(power_db=(30.0,), min_bit_errors=100_000,
@@ -313,6 +340,21 @@ class TestCli:
             assert [r.x for r in rows] == [0.5, 0.6, 0.7, 0.8, 0.9]
         err = capsys.readouterr().err
         assert "minimized at" in err
+
+    def test_power_sweep_honours_power_db(self, capsys):
+        code = cli.main(["power-sweep", "--power-db", "10", "--q-grid", "0.5,0.7"])
+        assert code == 0
+        lines = [ln for ln in capsys.readouterr().err.splitlines()
+                 if ln.startswith("P = ")]
+        assert len(lines) == 1 and lines[0].startswith("P = 10.00 dB")
+
+    def test_quadrature_failure_exit_code(self, monkeypatch, capsys):
+        def diverge(mod, profile):
+            raise specfn.QuadratureConvergenceError(1e-3, 1e-4)
+        monkeypatch.setattr(analysis, "analytical_ber", diverge)
+        code = cli.main(["ber-curve", "--power-db", "10", "--analytical-only"])
+        assert code == 3
+        assert capsys.readouterr().err.startswith("error: quadrature did not converge")
 
     def test_outage_command(self, tmp_path):
         out = tmp_path / "o.csv"
