@@ -9,7 +9,6 @@ transmit/relay/receive chain (``phy``), closed-form BER / outage analysis
 ``cli``).
 """
 
-from ._backend import BACKEND, HAS_NUMBA, using_numba
 from .analysis import (
     analytical_ber,
     ber_high_snr_approx,
@@ -48,10 +47,13 @@ from .specfn import (
 
 __version__ = "0.1.0"
 
+# Every kernel is numpy code; there is no other backend.
+BACKEND = "numpy"
+HAS_NUMBA = False
+
 __all__ = [
     "BACKEND",
     "HAS_NUMBA",
-    "using_numba",
     "analytical_ber",
     "ber_high_snr_approx",
     "conditional_gamma_max_cdf",

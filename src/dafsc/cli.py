@@ -11,6 +11,7 @@ converge.
 
 import argparse
 import io
+import math
 import sys
 from dataclasses import fields
 
@@ -36,14 +37,11 @@ def parse_grid(text: str):
         start, stop, step = (float(p) for p in parts)
         if step <= 0:
             raise ValueError("range step must be > 0")
-        values = []
-        v = start
-        while v <= stop + 1e-9 * max(1.0, abs(step)):
-            values.append(round(v, 10))
-            v += step
-        if not values:
+        # each value from its index, so no rounding error accumulates
+        count = math.floor((stop - start + 1e-9 * max(1.0, step)) / step) + 1
+        if count < 1:
             raise ValueError(f"empty range {text!r}")
-        return tuple(values)
+        return tuple(round(start + i * step, 10) for i in range(count))
     return tuple(float(p) for p in text.split(",") if p.strip())
 
 
@@ -53,6 +51,8 @@ _INT_KEYS = {"num_sinusoids", "frame_length", "frames_per_trial", "batch_trials"
              "min_bit_errors", "min_error_trials", "max_symbols", "seed", "workers"}
 _FLOAT_KEYS = {"q", "amplification", "normalized_doppler"}
 _BOOL_KEYS = {"analytical_only"}
+_BOOL_WORDS = {"1": True, "true": True, "yes": True, "on": True,
+               "0": False, "false": False, "no": False, "off": False}
 
 
 def load_config_file(path: str) -> dict:
@@ -75,7 +75,11 @@ def load_config_file(path: str) -> dict:
             elif key in _FLOAT_KEYS:
                 out[key] = float(value)
             elif key in _BOOL_KEYS:
-                out[key] = value.lower() in ("1", "true", "yes", "on")
+                if value.lower() not in _BOOL_WORDS:
+                    raise ValueError(f"{path}:{lineno}: {key} must be one of "
+                                     "1/true/yes/on or 0/false/no/off, "
+                                     f"got {value!r}")
+                out[key] = _BOOL_WORDS[value.lower()]
             else:
                 out[key] = value
     return out

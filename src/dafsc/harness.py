@@ -250,8 +250,11 @@ def run_power_allocation_sweep(config: ExperimentConfig):
     return tables, argmin_q
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OutagePoint:
+    """One row of an outage curve; slotted, as dense threshold grids make
+    tens of thousands of rows."""
+
     power_db: float
     gamma_th_db: float
     analytical: float
@@ -264,19 +267,21 @@ def run_outage_curve(config: ExperimentConfig, gamma_th_db, mc_draws: int = 0):
     """Outage probability over (power grid) x (threshold grid).
 
     ``mc_draws`` > 0 adds a Monte Carlo estimate column obtained by
-    sampling the combiner output SNR directly.
+    sampling the combiner output SNR directly.  The closed form is
+    evaluated in one call per power over the whole threshold grid.
     """
     rows = []
+    g_lin = np.array([10.0 ** (g_db / 10.0) for g_db in gamma_th_db])
     for i, p_db in enumerate(config.power_db):
         profile = config.profile(p_db)
+        ana_grid = analysis.outage_probability(g_lin, profile)
         for j, g_db in enumerate(gamma_th_db):
-            g_lin = 10.0 ** (g_db / 10.0)
-            ana = analysis.outage_probability(g_lin, profile)
+            ana = float(ana_grid[j])
             if mc_draws > 0:
                 rng = np.random.default_rng(
                     np.random.SeedSequence(entropy=(config.seed, 10_000 + i, j)))
                 draws = analysis.draw_combiner_snr(profile, mc_draws, rng)
-                mc = float(np.mean(draws <= g_lin))
+                mc = float(np.mean(draws <= g_lin[j]))
                 ci = 1.96 * math.sqrt(max(mc * (1.0 - mc), 0.0) / mc_draws)
                 rows.append(OutagePoint(p_db, g_db, ana, mc, ci, mc_draws))
             else:

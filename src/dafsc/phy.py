@@ -7,17 +7,14 @@ consecutive received samples on each branch, combines them either by
 magnitude selection or by fixed-weight (semi-MRC) combining, and detects
 with minimum Euclidean distance over the constellation.
 
-The per-symbol chain exists as a numba kernel and a vectorized numpy
-kernel producing identical error counts for identical inputs.
+The fused chain (:func:`chain_error_counts`) runs the whole per-symbol
+chain over flat per-channel-use arrays in one vectorized numpy kernel.
 """
 
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from . import _backend
-from ._backend import compile_kernel
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -254,7 +251,7 @@ def min_distance_detect(zeta, order: int) -> np.ndarray:
     return out[0] if np.isscalar(zeta) or np.ndim(zeta) == 0 else out
 
 
-def _chain_counts_numpy_impl(
+def _chain_counts(
     v_idx, h_sd, h_sr, h_rd, w_sd, w_sr, w_rd,
     sqrt_p0, amp, mrc_weight, constel, bit_lut, frame_len,
 ):
@@ -286,55 +283,6 @@ def _chain_counts_numpy_impl(
     return err_sc, err_mrc
 
 
-def _chain_counts_numba_impl(
-    v_idx, h_sd, h_sr, h_rd, w_sd, w_sr, w_rd,
-    sqrt_p0, amp, mrc_weight, constel, bit_lut, frame_len,
-):
-    order = constel.shape[0]
-    n_frames = v_idx.size // frame_len
-    scale = order / (2.0 * np.pi)
-    err_sc = 0
-    err_mrc = 0
-    for f in range(n_frames):
-        base = f * (frame_len + 1)
-        vbase = f * frame_len
-        s_idx = 0
-        s = constel[0]
-        y_sd_prev = sqrt_p0 * h_sd[base] * s + w_sd[base]
-        y_sr = sqrt_p0 * h_sr[base] * s + w_sr[base]
-        y_rd_prev = amp * h_rd[base] * y_sr + w_rd[base]
-        for k in range(1, frame_len + 1):
-            i = base + k
-            v = v_idx[vbase + k - 1]
-            s_idx = (s_idx + v) % order
-            s = constel[s_idx]
-            y_sd = sqrt_p0 * h_sd[i] * s + w_sd[i]
-            y_sr = sqrt_p0 * h_sr[i] * s + w_sr[i]
-            y_rd = amp * h_rd[i] * y_sr + w_rd[i]
-
-            z_sd = y_sd_prev.conjugate() * y_sd
-            z_rd = y_rd_prev.conjugate() * y_rd
-            m_sd = z_sd.real * z_sd.real + z_sd.imag * z_sd.imag
-            m_rd = z_rd.real * z_rd.real + z_rd.imag * z_rd.imag
-            if m_rd > m_sd:
-                z_sc = z_rd
-            else:
-                z_sc = z_sd
-            z_mrc = 0.5 * z_sd + mrc_weight * z_rd
-
-            det_sc = int(np.rint(math.atan2(z_sc.imag, z_sc.real) * scale)) % order
-            det_mrc = int(np.rint(math.atan2(z_mrc.imag, z_mrc.real) * scale)) % order
-            err_sc += bit_lut[v, det_sc]
-            err_mrc += bit_lut[v, det_mrc]
-
-            y_sd_prev = y_sd
-            y_rd_prev = y_rd
-    return err_sc, err_mrc
-
-
-_chain_counts_numba = compile_kernel(_chain_counts_numba_impl)
-
-
 def chain_error_counts(
     v_idx, h_sd, h_sr, h_rd, w_sd, w_sr, w_rd,
     profile: PowerProfile, mod: ModulationParams, frame_len: int,
@@ -362,10 +310,7 @@ def chain_error_counts(
         1.0 / (2.0 * (1.0 + profile.amplification**2)),
         constellation(mod.order), gray_bit_error_lut(mod.order), frame_len,
     )
-    if _backend.using_numba():
-        err_sc, err_mrc = _chain_counts_numba(*args)
-    else:
-        err_sc, err_mrc = _chain_counts_numpy_impl(*args)
+    err_sc, err_mrc = _chain_counts(*args)
     return int(err_sc), int(err_mrc)
 
 

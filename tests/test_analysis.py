@@ -156,6 +156,37 @@ class TestAnalyticalBer:
             assert 0.0 < v <= 0.5 + 1e-12
 
 
+class TestPeriodicRuleMatchesAdaptive:
+    """The periodic trapezoid rule against the adaptive Gauss-Legendre
+    integrator on the same integrands."""
+
+    GRID = [(mod, p_db, q) for mod in (DBPSK, DQPSK)
+            for p_db in (0.0, 10.0, 20.0, 30.0, 40.0, 50.0)
+            for q in (0.01, 0.3, 0.7, 0.99)]
+
+    def test_exact_ber(self):
+        worst = 0.0
+        for mod, p_db, q in self.GRID:
+            prof = PowerProfile.from_db(p_db, q)
+            want = integrate_theta(
+                lambda th: analysis._ber_integrand(th, mod, prof)) / (4.0 * math.pi)
+            worst = max(worst, abs(analytical_ber(mod, prof) - want) / want)
+        assert worst <= 1e-10
+
+    def test_high_snr_approx(self):
+        worst = 0.0
+        for mod, p_db, q in self.GRID:
+            prof = PowerProfile.from_db(p_db, q)
+
+            def integrand(th):
+                weight, scale = angle_weights(th, mod)
+                return weight * 2.0 / ((1.0 + scale * prof.p0) * (2.0 + scale * prof.p0))
+
+            want = integrate_theta(integrand) / (4.0 * math.pi)
+            worst = max(worst, abs(ber_high_snr_approx(mod, prof) - want) / want)
+        assert worst <= 1e-10
+
+
 class TestHighSnrApprox:
     def test_slope_near_two(self):
         for mod in (DBPSK, DQPSK):
@@ -216,6 +247,32 @@ class TestOutage:
     def test_domain_error(self):
         with pytest.raises(ValueError):
             outage_probability(-0.5, PowerProfile.from_db(10.0, 0.5))
+        with pytest.raises(ValueError):
+            outage_probability(np.array([1.0, -0.5]), PowerProfile.from_db(10.0, 0.5))
+
+    def test_array_shapes(self):
+        prof = PowerProfile.from_db(15.0, 0.7)
+        g = np.array([[0.0, 0.5, 2.0], [8.0, 0.0, 30.0]])
+        assert type(outage_probability(2.0, prof)) is float
+        assert outage_probability(g[0], prof).shape == (3,)
+        got = outage_probability(g, prof)
+        assert got.shape == (2, 3)
+        assert got[0, 0] == 0.0 and got[1, 1] == 0.0
+        elementwise = np.array([[outage_probability(v, prof) for v in row] for row in g])
+        np.testing.assert_allclose(got, elementwise, rtol=1e-15)
+        assert outage_probability(np.zeros(4), prof).tolist() == [0.0] * 4
+        assert outage_probability(np.array([]), prof).shape == (0,)
+
+    def test_array_matches_quadrature(self):
+        rng = np.random.default_rng(24)
+        for _ in range(3):
+            prof = PowerProfile(total_power=rng.uniform(1.0, 100.0),
+                                q=rng.uniform(0.2, 0.8),
+                                amplification=rng.uniform(0.3, 3.0))
+            # thresholds on both sides of the K1 series / trapezoid split
+            g = np.sort(rng.uniform(0.05, 60.0, 8))
+            want = [outage_quadrature(gi, prof) for gi in g]
+            np.testing.assert_allclose(outage_probability(g, prof), want, rtol=1e-8)
 
     def test_snr_draws_deterministic(self):
         prof = PowerProfile.from_db(10.0, 0.7)

@@ -181,6 +181,26 @@ class TestOutageCurve:
         assert rows[0].analytical < 1e-25
         assert np.all(np.diff([r.analytical for r in rows]) > 0.0)
 
+    def test_one_closed_form_call_per_power(self, monkeypatch):
+        calls = []
+        true_outage = analysis.outage_probability
+
+        def counting(gamma_th, profile):
+            calls.append(np.size(gamma_th))
+            return true_outage(gamma_th, profile)
+
+        monkeypatch.setattr(analysis, "outage_probability", counting)
+        cfg = ExperimentConfig(power_db=(0.0, 10.0, 20.0), seed=5)
+        gamma_db = (-10.0, -2.5, 0.0, 5.0, 12.5, 30.0)
+        rows = run_outage_curve(cfg, gamma_th_db=gamma_db)
+        assert calls == [len(gamma_db)] * 3
+        assert [(r.power_db, r.gamma_th_db) for r in rows] == [
+            (p, g) for p in cfg.power_db for g in gamma_db]
+        for r in rows:
+            want = true_outage(10.0 ** (r.gamma_th_db / 10.0), cfg.profile(r.power_db))
+            assert r.analytical == pytest.approx(want, rel=1e-15)
+            assert type(r.analytical) is float
+
     def test_mc_column_within_ci(self):
         cfg = ExperimentConfig(power_db=(10.0,), seed=6)
         rows = run_outage_curve(cfg, gamma_th_db=(0.0, 5.0), mc_draws=200_000)
@@ -269,6 +289,27 @@ class TestConfigFile:
         with pytest.raises(ValueError):
             cli.load_config_file(str(path))
 
+    @pytest.mark.parametrize("word,value", [
+        ("1", True), ("TRUE", True), ("Yes", True), ("on", True),
+        ("0", False), ("false", False), ("NO", False), ("Off", False)])
+    def test_boolean_words(self, tmp_path, word, value):
+        path = tmp_path / "exp.cfg"
+        path.write_text(f"analytical_only = {word}\n")
+        assert cli.load_config_file(str(path)) == {"analytical_only": value}
+
+    @pytest.mark.parametrize("word", ["maybe", "", "2", "truthy", "nope"])
+    def test_unknown_boolean_word_rejected(self, tmp_path, word):
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"analytical_only = {word}\n")
+        with pytest.raises(ValueError, match="analytical_only"):
+            cli.load_config_file(str(path))
+
+    def test_unknown_boolean_word_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "bad.cfg"
+        path.write_text("power_db = 10\nanalytical_only = maybe\n")
+        assert cli.main(["ber-curve", "--config", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestGridParsing:
     def test_list(self):
@@ -278,11 +319,29 @@ class TestGridParsing:
         assert cli.parse_grid("5:35:2.5")[-1] == 35.0
         assert len(cli.parse_grid("5:35:2.5")) == 13
 
+    def test_short_ranges_unchanged(self):
+        assert cli.parse_grid("0:20:2") == tuple(float(v) for v in range(0, 21, 2))
+        assert cli.parse_grid("0.5:0.9:0.1") == (0.5, 0.6, 0.7, 0.8, 0.9)
+        assert cli.parse_grid("0.01:0.99:0.01") == tuple(
+            round(0.01 * k, 10) for k in range(1, 100))
+        assert cli.parse_grid("1:1:1") == (1.0,)
+        assert cli.parse_grid("0:10:0.3")[-1] == 9.9
+
+    def test_long_range_no_drift(self):
+        # each value is start + i*step, not a running sum
+        grid = cli.parse_grid("0:1000:0.1")
+        assert len(grid) == 10_001 and grid[-1] == 1000.0
+        assert grid[1234] == 123.4
+        assert len(cli.parse_grid("0:10000:0.1")) == 100_001
+        assert cli.parse_grid("0:10000:0.1")[-1] == 10000.0
+
     def test_bad_range(self):
         with pytest.raises(ValueError):
             cli.parse_grid("5:35")
         with pytest.raises(ValueError):
             cli.parse_grid("5:35:-1")
+        with pytest.raises(ValueError):
+            cli.parse_grid("35:5:1")
 
 
 class TestCli:

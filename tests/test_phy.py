@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from dafsc import _backend, analysis
+from dafsc import analysis
 from dafsc.fading import FadingConfig, generate_awgn, generate_fading
 from dafsc.phy import (
     FrameResult,
@@ -273,18 +273,6 @@ class TestChain:
         with pytest.raises(ValueError):
             chain_error_counts(np.zeros(7, np.int64), ones, ones, ones, ones,
                                ones, ones, profile=prof, mod=mod, frame_len=3)
-
-    @pytest.mark.skipif(not _backend.HAS_NUMBA, reason="numba unavailable")
-    def test_backends_count_identically(self):
-        from dafsc.phy import _chain_counts_numba, _chain_counts_numpy_impl
-
-        mod = ModulationParams.dqpsk()
-        prof = PowerProfile.from_db(15.0, 0.7)
-        v_idx, taps, noise = _trial_arrays(mod, prof, 50, 500, seed=9)
-        args = (v_idx, *taps, *noise, math.sqrt(prof.p0), prof.amplification,
-                1.0 / (2.0 * (1.0 + prof.amplification**2)),
-                constellation(mod.order), gray_bit_error_lut(mod.order), 500)
-        assert tuple(_chain_counts_numba(*args)) == tuple(_chain_counts_numpy_impl(*args))
 
     def test_simulation_matches_analytics(self):
         # moderate-size paired run against the exact closed form, judged

@@ -14,11 +14,37 @@ from dafsc.specfn import (
     bessel_k1,
     bessel_k1_scaled,
     exp_integral_e1,
+    integrate_periodic,
     integrate_theta,
     scaled_e1,
 )
 
 _EULER = 0.5772156649015328606
+
+# 40-digit mpmath values (mp.e1, mp.besselk) on both sides of the branch
+# points: E1's series / continued-fraction split and K1's series /
+# trapezoid split.
+E1_STRADDLE = [
+    (0.9, 0.26018393932599965, 0.6399492266392998),
+    (0.99, 0.22309982579017723, 0.60041394194164),
+    (1.0, 0.21938393439552029, 0.5963473623231941),
+    (1.01, 0.21574162379448997, 0.5923404212715494),
+    (1.1, 0.18599090453604014, 0.5587475561702363),
+    (1.9, 0.05620437817453486, 0.3757765396688848),
+    (1.99, 0.04958229052673643, 0.3627209203609822),
+    (2.0, 0.04890051070806112, 0.3613286168882226),
+    (2.01, 0.048228881303484766, 0.35994744647409616),
+    (2.1, 0.04261434150851506, 0.3479959534707185),
+]
+K1_STRADDLE = [
+    (5.0, 0.004044613445452165),
+    (5.4, 0.0025966270401777966),
+    (5.49, 0.0023513283592186554),
+    (5.5, 0.0023255690088490053),
+    (5.51, 0.0023000964798673158),
+    (5.6, 0.00208322495060979),
+    (6.0, 0.001343919717735509),
+]
 
 
 def e1_series_oracle(x: float) -> float:
@@ -152,6 +178,47 @@ class TestBesselJ0:
         np.testing.assert_allclose(bessel_j0(-x), bessel_j0(x), atol=1e-13)
 
 
+class TestArrayEvaluation:
+    FUNCS = [exp_integral_e1, scaled_e1, bessel_k1, bessel_k1_scaled, bessel_j0]
+
+    @pytest.mark.parametrize("func", FUNCS, ids=lambda f: f.__name__)
+    def test_shapes(self, func):
+        x = np.array([[0.3, 1.7, 4.0], [6.5, 12.0, 40.0]])
+        assert type(func(1.5)) is float
+        assert type(func(np.float64(1.5))) is float
+        assert func(x[0]).shape == (3,)
+        got = func(x)
+        assert got.shape == (2, 3)
+        elementwise = np.array([[func(v) for v in row] for row in x])
+        np.testing.assert_allclose(got, elementwise, rtol=1e-15)
+
+    def test_e1_straddling_split(self):
+        # one array crossing x = 1 and the series / fraction split at 2,
+        # mixed with the frozen grid, at the frozen-table bounds
+        x = np.array([row[0] for row in E1_STRADDLE])
+        mixed = np.concatenate((x, tables.E1_X))
+        e1 = exp_integral_e1(mixed)
+        se1 = scaled_e1(mixed)
+        want_e1 = np.concatenate(([row[1] for row in E1_STRADDLE], tables.E1_VALUES))
+        want_se1 = np.concatenate(([row[2] for row in E1_STRADDLE],
+                                   tables.SCALED_E1_VALUES))
+        assert np.max(np.abs(e1 - want_e1) / want_e1) <= 1e-12
+        assert np.max(np.abs(se1 - want_se1) / want_se1) <= 1e-10
+
+    def test_k1_straddling_split(self):
+        x = np.array([row[0] for row in K1_STRADDLE])
+        mixed = np.concatenate((x, tables.K1_X)).reshape(-1, 1)
+        want = np.concatenate(([row[1] for row in K1_STRADDLE], tables.K1_VALUES))
+        got = bessel_k1(mixed)[:, 0]
+        assert np.max(np.abs(got - want) / want) <= 1e-10
+        scaled = bessel_k1_scaled(mixed)[:, 0]
+        assert np.max(np.abs(scaled - want * np.exp(mixed[:, 0])) / scaled) <= 1e-10
+
+    def test_empty_input(self):
+        for func in self.FUNCS[:4]:
+            assert func(np.array([])).shape == (0,)
+
+
 class TestQuadratureSpec:
     def test_invariants(self):
         with pytest.raises(ValueError):
@@ -207,3 +274,56 @@ class TestIntegrateTheta:
         good = integrate_theta(spiky, QuadratureSpec(max_subdivisions=200))
         # closed form: (2/100) * atan(100 pi)
         assert good == pytest.approx(0.02 * math.atan(100.0 * math.pi), rel=1e-10)
+
+
+class TestIntegratePeriodic:
+    def test_constant_exact(self):
+        got = integrate_periodic(lambda th: np.full_like(th, 3.0))
+        assert got == pytest.approx(6.0 * math.pi, rel=1e-15)
+
+    def test_closed_form_rational(self):
+        # 2 pi / sqrt(1.25^2 - 1)
+        got = integrate_periodic(lambda th: 1.0 / (1.25 + np.sin(th)))
+        assert got == pytest.approx(2.0 * math.pi / 0.75, rel=1e-12)
+
+    def test_odd_function(self):
+        assert abs(integrate_periodic(np.sin)) <= 1e-14
+
+    def test_matches_adaptive_rule_on_smooth_periodic(self):
+        f = lambda th: np.exp(np.cos(3.0 * th)) / (1.3 + np.sin(th))
+        assert integrate_periodic(f) == pytest.approx(integrate_theta(f), rel=1e-10)
+
+    def test_nested_nodes_evaluated_once(self):
+        seen = []
+
+        def f(th):
+            seen.append(th)
+            return 1.0 / (1.25 + np.sin(th))
+
+        integrate_periodic(f)
+        nodes = np.sort(np.concatenate(seen))
+        assert nodes.size == 128
+        np.testing.assert_allclose(
+            nodes, -math.pi + 2.0 * math.pi * np.arange(128) / 128, atol=1e-14)
+
+    def test_convergence_error_carries_estimate(self):
+        spec = QuadratureSpec(max_subdivisions=1)
+        with pytest.raises(QuadratureConvergenceError) as info:
+            integrate_periodic(lambda th: 1.0 / (1.01 + np.sin(th)), spec)
+        err = info.value
+        assert np.isfinite(err.estimate) and err.estimate > 0
+        assert err.error_estimate > 0
+
+    def test_node_ceiling(self):
+        # kinks off the nodes make the rule converge only algebraically:
+        # the node ceiling, not the default 500-doubling budget, stops it
+        count = [0]
+
+        def kinked(th):
+            count[0] += th.size
+            return np.abs(np.sin(th - 1.0))
+
+        with pytest.raises(QuadratureConvergenceError) as info:
+            integrate_periodic(kinked)
+        assert count[0] == 1 << 16
+        assert info.value.estimate == pytest.approx(4.0, rel=1e-8)
