@@ -24,7 +24,7 @@ import numpy as np
 from .phy import ModulationParams, PowerProfile
 from .specfn import (
     QuadratureSpec,
-    bessel_k1_scaled,
+    bessel_k1_complement,
     integrate_periodic,
     scaled_e1,
 )
@@ -137,9 +137,13 @@ def outage_probability(gamma_th, profile: PowerProfile):
 
     Averaging the conditional max-SNR CDF over the exponential
     relay-destination power gain gives the closed form
-    (1 - e^(-g/p0)) * (1 - e^(-g/p0) * x K1(x)),  x = sqrt(4 g / (A^2 p0)).
-    Vectorized over ``gamma_th`` (one K1 call for the whole array; exactly
-    0 at a zero threshold); returns values in [0, 1], a float for a scalar.
+    (1 - e^(-u)) * (1 - e^(-u) * x K1(x)),  u = g/p0,  x = sqrt(4 g / (A^2 p0)).
+    Both factors are formed without subtracting from 1, which would cancel
+    at high power: 1 - e^(-u) as -expm1(-u), and the second factor as
+    (1 - e^(-u)) + e^(-u) * (1 - x K1(x)) with
+    :func:`~dafsc.specfn.bessel_k1_complement`.  Vectorized over
+    ``gamma_th`` (exactly 0 at a zero threshold); returns values in
+    [0, 1], a float for a scalar.
     """
     g = np.asarray(gamma_th, dtype=np.float64)
     if g.size and np.min(g) < 0.0:
@@ -147,14 +151,13 @@ def outage_probability(gamma_th, profile: PowerProfile):
     p0 = profile.p0
     a2 = profile.amplification**2
     x = np.sqrt(4.0 * g / (a2 * p0))
-    # x*K1(x) in scaled form: exp(-x) * (x * exp(x) K1(x)); 1 at x = 0
-    xk1 = np.ones_like(x)
+    k1_gap = np.zeros_like(x)  # 1 - x K1(x); 0 at x = 0
     positive = x > 0.0
     if positive.any():
-        xp = x[positive]
-        xk1[positive] = xp * bessel_k1_scaled(xp) * np.exp(-xp)
-    direct = np.exp(-g / p0)
-    out = (1.0 - direct) * (1.0 - direct * xk1)
+        k1_gap[positive] = bessel_k1_complement(x[positive])
+    u = g / p0
+    direct = -np.expm1(-u)
+    out = direct * (direct + np.exp(-u) * k1_gap)
     return float(out) if out.ndim == 0 else out
 
 

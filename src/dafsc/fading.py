@@ -6,6 +6,11 @@ processes whose autocorrelation follows the classical land-mobile model
 J0(2*pi*fd*Ts*n).  Distinct seeds give statistically independent processes,
 which is how the source-destination, source-relay and relay-destination
 links are kept spatially uncorrelated.
+
+The synthesizer evaluates the sum by blocks: each sinusoid's phasor over a
+block and over the block starts comes from a running product of one
+complex exponential, and a matrix product sums the sinusoids, so a record
+of L taps costs O(sqrt(L)) cosines instead of O(L) per sinusoid.
 """
 
 import math
@@ -40,28 +45,51 @@ def _sos_taps_numpy_impl(length, w_d, cos_alpha, sin_alpha, phi, psi):
     unit variance, for k = 0 .. length-1.
 
     Tap k is written k = b*M + m with block length M = ceil(sqrt(length)),
-    and angle addition gives
+    and angle addition gives, per sinusoid of frequency w and phase p,
 
-        cos(w*k + p) = cos(w*b*M + p)*cos(w*m) - sin(w*b*M + p)*sin(w*m),
+        cos(w*k + p) = Re(e^{i(w*b*M + p)} * e^{i*w*m}).
 
-    so each arm is two (blocks x N) @ (N x M) matrix products built from
-    about 4*N*sqrt(length) cosines and sines instead of N*length cosines.
+    Both factors come from complex-exponential recurrences: a running
+    product (cumprod) over M steps of e^{i*w} from 1, and over the blocks
+    of e^{i*w*M} from e^{i*p}, so a call evaluates 3*N cosines and sines
+    per arm instead of N*length cosines.  The real part of the product,
+    summed over the N sinusoids of an arm, is one (blocks x 2N) @ (2N x M)
+    real matrix product of the interleaved real and imaginary parts.
     """
-    scale = 1.0 / math.sqrt(cos_alpha.shape[0])
+    n = cos_alpha.shape[0]
+    scale = 1.0 / math.sqrt(n)
     if w_d == 0.0:
         # a static channel repeats tap 0 exactly; BLAS does not promise the
         # same summation order for every element of a matrix product
         return np.full(length, scale * complex(np.cos(phi).sum(), np.cos(psi).sum()))
     block = math.isqrt(length - 1) + 1
     n_blocks = -(-length // block)
-    omega = w_d * np.stack((cos_alpha, sin_alpha))  # (arm, n)
-    phase = np.stack((phi, psi))
-    block_starts = block * np.arange(n_blocks, dtype=np.float64)
-    outer = omega[:, None, :] * block_starts[:, None] + phase[:, None, :]  # (arm, b, n)
-    inner = omega[:, :, None] * np.arange(block, dtype=np.float64)  # (arm, n, m)
-    arms = np.cos(outer) @ np.cos(inner) - np.sin(outer) @ np.sin(inner)
-    arms = arms.reshape(2, -1)[:, :length]
-    return scale * (arms[0] + 1j * arms[1])
+    # per (arm, sinusoid): -w, the block step w*M and the phase.  The inner
+    # factor is conjugated: the dot product of the (re, im) pairs of a and
+    # conj(b) is Re(a*b)
+    angle = np.empty((3, 2, n))
+    np.multiply(cos_alpha, -w_d, out=angle[0, 0])
+    np.multiply(sin_alpha, -w_d, out=angle[0, 1])
+    np.multiply(angle[0], -block, out=angle[1])
+    angle[2, 0] = phi
+    angle[2, 1] = psi
+    turn = np.empty(angle.shape, dtype=np.complex128)
+    np.cos(angle, out=turn.real)
+    np.sin(angle, out=turn.imag)
+    # grid[j, 0] = e^{-i*w*j} (tap offset j in a block),
+    # grid[j, 1] = scale * e^{i*(w*j*M + p)} (block j; n_blocks <= M)
+    grid = np.empty((block, 2, 2, n), dtype=np.complex128)
+    grid[0, 0] = 1.0
+    np.multiply(turn[2], scale, out=grid[0, 1])
+    grid[1:] = turn[:2]
+    np.cumprod(grid, axis=0, out=grid)
+    lhs = grid[:n_blocks, 1].transpose(1, 0, 2).view(np.float64)  # (arm, b, 2n)
+    rhs = grid[:, 0].transpose(1, 0, 2).view(np.float64).transpose(0, 2, 1)  # (arm, 2n, m)
+    arms = lhs @ rhs
+    taps = np.empty((n_blocks, block), dtype=np.complex128)
+    taps.real = arms[0]
+    taps.imag = arms[1]
+    return taps.reshape(-1)[:length]
 
 
 def _draw_angles(num_sinusoids, rng):
@@ -105,7 +133,11 @@ def generate_awgn(seed, length: int, variance: float = 1.0) -> np.ndarray:
         raise ValueError("variance must be > 0")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     z = rng.standard_normal((2, length))
-    return math.sqrt(variance / 2.0) * (z[0] + 1j * z[1])
+    w = np.empty(length, dtype=np.complex128)
+    w.real = z[0]
+    w.imag = z[1]
+    w *= math.sqrt(variance / 2.0)
+    return w
 
 
 __all__ = ["FadingConfig", "generate_fading", "generate_awgn"]

@@ -27,6 +27,7 @@ import io
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -85,8 +86,9 @@ class ExperimentConfig:
         if self.seed < 0:
             raise ValueError("seed must be a nonnegative integer")
 
-    @property
+    @cached_property
     def mod(self) -> ModulationParams:
+        # built once per config: every trial reads it
         return ModulationParams.from_name(self.modulation)
 
     def profile(self, power_db: float, q: float | None = None) -> PowerProfile:

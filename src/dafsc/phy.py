@@ -8,7 +8,11 @@ magnitude selection or by fixed-weight (semi-MRC) combining, and detects
 with minimum Euclidean distance over the constellation.
 
 The fused chain (:func:`chain_error_counts`) runs the whole per-symbol
-chain over flat per-channel-use arrays in one vectorized numpy kernel.
+chain over flat per-channel-use arrays in one vectorized numpy kernel.  It
+detects by sign comparisons on the real and imaginary parts (DBPSK: re < 0;
+DQPSK: the signs of re - im and re + im), which pick the same point as
+:func:`min_distance_detect`, and like it resolve an exact tie between two
+nearest points, or zeta = 0, to the lower constellation index.
 """
 
 import math
@@ -115,9 +119,14 @@ def constellation(order: int) -> np.ndarray:
     return np.exp(2j * np.pi * np.arange(order) / order)
 
 
+def _gray_labels(order: int) -> list[int]:
+    """The binary-reflected Gray label of each constellation index."""
+    return [m ^ (m >> 1) for m in range(order)]
+
+
 def gray_bit_error_lut(order: int) -> np.ndarray:
     """bit_errors[m, n]: Hamming distance of the Gray labels of symbols m, n."""
-    gray = [m ^ (m >> 1) for m in range(order)]
+    gray = _gray_labels(order)
     lut = np.zeros((order, order), dtype=np.int64)
     for i in range(order):
         for j in range(order):
@@ -251,35 +260,73 @@ def min_distance_detect(zeta, order: int) -> np.ndarray:
     return out[0] if np.isscalar(zeta) or np.ndim(zeta) == 0 else out
 
 
-def _chain_counts(
-    v_idx, h_sd, h_sr, h_rd, w_sd, w_sr, w_rd,
-    sqrt_p0, amp, mrc_weight, constel, bit_lut, frame_len,
-):
-    order = constel.shape[0]
+# Per order: the constellation and, row per Gray label bit, that bit of each
+# point's label.  Built once; every chain call shares them.
+_CONSTELLATION = {order: constellation(order) for order in (2, 4)}
+_GRAY_BITS = {
+    order: np.array([[label >> bit & 1 for label in _gray_labels(order)]
+                     for bit in range(order.bit_length() - 1)], dtype=bool)
+    for order in (2, 4)
+}
+for _table in (*_CONSTELLATION.values(), *_GRAY_BITS.values()):
+    _table.setflags(write=False)
+
+
+def _detected_bits(d, order):
+    """Gray label bits of the constellation point nearest to each ``d``,
+    lowest index on exact ties (the rule of :func:`min_distance_detect`).
+
+    DBPSK: the label is re < 0.  DQPSK: with a = re - im and b = re + im,
+    the nearest point is 1 if a >= 0 and b >= 0, j if a < 0 <= b, -1 if
+    a <= 0 and b < 0, and -j if a > 0 > b.  Its label (00, 01, 11, 10) has
+    the high bit b < 0 and the low bit (a, b) < (0, 0) in lexicographic
+    order, which is numpy's order on complex numbers: (1 + 1j) * d is
+    a + ib.  A rounded a or b keeps the sign of the exact value, so no
+    value near a decision boundary is misplaced.
+    """
+    if order == 2:
+        return (d.real < 0,)
+    r = d * (1 + 1j)
+    return r < 0, r.imag < 0
+
+
+def _chain_counts(v_idx, h_sd, h_sr, h_rd, w_sd, w_sr, w_rd,
+                  sqrt_p0, amp, mrc_weight, order, frame_len):
     n_frames = v_idx.size // frame_len
     vi = v_idx.reshape(n_frames, frame_len)
-    s_idx = np.zeros((n_frames, frame_len + 1), dtype=np.int64)
-    s_idx[:, 1:] = np.cumsum(vi, axis=1) % order
-    s = constel[s_idx]
-
     shape = (n_frames, frame_len + 1)
-    y_sd = sqrt_p0 * h_sd.reshape(shape) * s + w_sd.reshape(shape)
-    y_sr = sqrt_p0 * h_sr.reshape(shape) * s + w_sr.reshape(shape)
-    y_rd = amp * h_rd.reshape(shape) * y_sr + w_rd.reshape(shape)
+    s_idx = np.zeros(shape, dtype=np.int64)
+    np.cumsum(vi, axis=1, out=s_idx[:, 1:])
+    s_idx &= order - 1
+    s = (sqrt_p0 * _CONSTELLATION[order])[s_idx]
 
-    z_sd = np.conj(y_sd[:, :-1]) * y_sd[:, 1:]
-    z_rd = np.conj(y_rd[:, :-1]) * y_rd[:, 1:]
-    m_sd = z_sd.real * z_sd.real + z_sd.imag * z_sd.imag
-    m_rd = z_rd.real * z_rd.real + z_rd.imag * z_rd.imag
-    z_sc = np.where(m_rd > m_sd, z_rd, z_sd)
-    z_mrc = 0.5 * z_sd + mrc_weight * z_rd
+    # y[0]: relay-destination branch, y[1]: direct branch
+    y = np.empty((2,) + shape, dtype=np.complex128)
+    y_sr = h_sr.reshape(shape) * s
+    y_sr += w_sr.reshape(shape)
+    np.multiply(h_rd.reshape(shape), amp, out=y[0])
+    y[0] *= y_sr
+    y[0] += w_rd.reshape(shape)
+    np.multiply(h_sd.reshape(shape), s, out=y[1])
+    y[1] += w_sd.reshape(shape)
 
-    scale = order / (2.0 * np.pi)
-    det_sc = np.mod(np.rint(np.arctan2(z_sc.imag, z_sc.real) * scale).astype(np.int64), order)
-    det_mrc = np.mod(np.rint(np.arctan2(z_mrc.imag, z_mrc.real) * scale).astype(np.int64), order)
+    # z[0], z[1]: relay and direct decision variables; z[1] then becomes the
+    # selection combiner and z[2] the semi-MRC, so z[1:] holds both outputs
+    z = np.empty((3, n_frames, frame_len), dtype=np.complex128)
+    np.conj(y[..., :-1], out=z[:2])
+    z[:2] *= y[..., 1:]
+    squares = np.square(z[:2].view(np.float64))
+    mag = squares[..., ::2] + squares[..., 1::2]  # re^2 + im^2
+    np.multiply(z[0], mrc_weight, out=z[2])
+    z[2] += 0.5 * z[1]
+    np.copyto(z[1], z[0], where=mag[0] > mag[1])  # ties keep the direct branch
 
-    err_sc = int(bit_lut[vi, det_sc].sum())
-    err_mrc = int(bit_lut[vi, det_mrc].sum())
+    err_sc = err_mrc = 0
+    for bits, sent in zip(_detected_bits(z[1:], order),
+                          _GRAY_BITS[order].take(vi, axis=1)):
+        wrong = bits != sent
+        err_sc += np.count_nonzero(wrong[0])
+        err_mrc += np.count_nonzero(wrong[1])
     return err_sc, err_mrc
 
 
@@ -304,13 +351,11 @@ def chain_error_counts(
         if arr.size != n_uses:
             raise ValueError(f"{name} must have {n_uses} samples")
         arrays.append(arr)
-    args = (
-        v_idx, *arrays,
-        math.sqrt(profile.p0), profile.amplification,
-        1.0 / (2.0 * (1.0 + profile.amplification**2)),
-        constellation(mod.order), gray_bit_error_lut(mod.order), frame_len,
+    amp = profile.amplification
+    err_sc, err_mrc = _chain_counts(
+        v_idx, *arrays, math.sqrt(profile.p0), amp,
+        1.0 / (2.0 * (1.0 + amp**2)), mod.order, frame_len,
     )
-    err_sc, err_mrc = _chain_counts(*args)
     return int(err_sc), int(err_mrc)
 
 

@@ -47,6 +47,10 @@ _E1_REACH = (1e-19 / np.abs(_E1_COEFFS)) ** (1.0 / (_K + 1))
 _K1_REACH = (1e-20 / np.maximum(np.abs(_K1_LOG_COEFFS), _K1_I1_COEFFS)) ** (
     1.0 / np.maximum(_K, 1))
 _K1_SPLIT = 5.5
+# Below it 1 - x K1(x) comes from the series without its leading 1, which
+# loses under 1 bit (see _k1_complement_series); above it 1 - x K1(x) >= 0.72
+# and the direct difference loses under 2 bits.
+_K1_COMPLEMENT_SPLIT = 2.0
 # Trapezoid nodes on [0, acosh(1 + 45/x)] for exp(x)K1(x) above the split;
 # 16 already reach machine precision over (5.5, 700].
 _K1_NODES = 32
@@ -122,14 +126,28 @@ def _e1_cf_scaled(x):
     return 1.0 / ((x + 1.0) - tail)
 
 
-def _k1_series(x):
+def _k1_series_terms(x):
     # K1 = ln(x/2) I1(x) + 1/x - (x/4) sum_k (psi(k+1)+psi(k+2)) q^k/(k!(k+1)!)
-    # with q = x^2/4, for x <= 5.5
+    # with q = x^2/4, for x <= 5.5; returns the first and the last term
     q = 0.25 * x * x
     n = _series_length(_K1_REACH, q.max())
     half_x = 0.5 * x
     i1 = half_x * _horner(_K1_I1_COEFFS[:n], q)
-    return np.log(half_x) * i1 + 1.0 / x - 0.5 * half_x * _horner(_K1_LOG_COEFFS[:n], q)
+    return np.log(half_x) * i1, 0.5 * half_x * _horner(_K1_LOG_COEFFS[:n], q)
+
+
+def _k1_series(x):
+    log_i1, tail = _k1_series_terms(x)
+    return log_i1 + 1.0 / x - tail
+
+
+def _k1_complement_series(x):
+    # 1 - x K1(x) = x (tail - ln(x/2) I1(x)): the series without its leading
+    # 1.  -ln(x/2) I1(x) > 0 up to x = 2; tail < 0 below x ~ 0.93 (its first
+    # coefficient is 1 - 2 gamma) but stays under 4 % of -ln(x/2) I1(x)
+    # there, so the sum loses less than one bit
+    log_i1, tail = _k1_series_terms(x)
+    return x * (tail - log_i1)
 
 
 def _k1_scaled_trapezoid(x):
@@ -211,6 +229,19 @@ def bessel_k1(x):
     """
     return _evaluate(x, "bessel_k1", _K1_SPLIT, _k1_series,
                      lambda v: np.exp(-v) * _k1_scaled_trapezoid(v))
+
+
+def bessel_k1_complement(x):
+    """1 - x*K1(x) for x > 0, to a few ulp relative also where x*K1(x)
+    tends to 1 (x -> 0).
+
+    The ascending K1 series with its leading 1 removed up to x = 2,
+    1 - x e^(-x) (e^x K1(x)) above.  Keeps the shape of ``x``; a float
+    for a scalar.
+    """
+    return _evaluate(x, "bessel_k1_complement", _K1_COMPLEMENT_SPLIT,
+                     _k1_complement_series,
+                     lambda v: 1.0 - v * bessel_k1_scaled(v) * np.exp(-v))
 
 
 def bessel_j0(x):
@@ -326,6 +357,7 @@ __all__ = [
     "scaled_e1",
     "bessel_k1",
     "bessel_k1_scaled",
+    "bessel_k1_complement",
     "bessel_j0",
     "integrate_periodic",
     "integrate_theta",

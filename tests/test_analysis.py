@@ -206,6 +206,23 @@ class TestHighSnrApprox:
 
 
 class TestOutage:
+    # 60-digit mpmath values of the closed form at q = 0.7, on the float p0
+    # and amplification of PowerProfile.from_db: {(gamma_db, power_db): P}
+    HIGH_POWER_MPMATH = {
+        (-10.0, 50.0): 6.1361130863511164e-11,
+        (-10.0, 80.0): 9.4254444697192373e-17,
+        (-10.0, 100.0): 1.1618382533601476e-20,
+        (-10.0, 150.0): 1.7100727991593905e-30,
+        (0.0, 50.0): 5.0396162204030036e-9,
+        (0.0, 80.0): 8.3289753359450014e-15,
+        (0.0, 100.0): 1.0521913441186842e-18,
+        (0.0, 150.0): 1.600425889969197e-28,
+        (10.0, 50.0): 3.9430573325938581e-7,
+        (10.0, 80.0): 7.2325060132860909e-13,
+        (10.0, 100.0): 9.4254443460375155e-17,
+        (10.0, 150.0): 1.4907789807789988e-26,
+    }
+
     def test_zero_threshold(self):
         assert outage_probability(0.0, PowerProfile.from_db(10.0, 0.7)) == 0.0
 
@@ -236,6 +253,15 @@ class TestOutage:
             g = rng.uniform(0.05, 20.0)
             assert outage_probability(g, prof) == pytest.approx(
                 outage_quadrature(g, prof), rel=1e-8)
+
+    @pytest.mark.parametrize("key", sorted(HIGH_POWER_MPMATH))
+    def test_high_power_matches_mpmath(self, key):
+        # both factors vanish with g/p0; forming either as 1 - (something
+        # near 1) left a relative error of 0.23 at 150 dB
+        gamma_db, power_db = key
+        got = outage_probability(10.0 ** (gamma_db / 10.0),
+                                 PowerProfile.from_db(power_db, 0.7))
+        assert got == pytest.approx(self.HIGH_POWER_MPMATH[key], rel=1e-10)
 
     def test_nondecreasing_in_threshold(self):
         prof = PowerProfile.from_db(15.0, 0.7)

@@ -132,6 +132,14 @@ class TestAwgn:
     def test_determinism(self):
         np.testing.assert_array_equal(generate_awgn(42, 1000), generate_awgn(42, 1000))
 
+    def test_draw_layout(self):
+        # the first `length` normals are the real parts, the next the
+        # imaginary parts, each scaled by sqrt(variance / 2)
+        z = np.random.default_rng(14).standard_normal((2, 257))
+        got = generate_awgn(14, 257, variance=3.0)
+        np.testing.assert_array_equal(got.real, math.sqrt(1.5) * z[0])
+        np.testing.assert_array_equal(got.imag, math.sqrt(1.5) * z[1])
+
     def test_scales_with_variance(self):
         z = generate_awgn(13, 500_000, variance=4.0)
         assert np.mean(np.abs(z) ** 2) == pytest.approx(4.0, rel=0.02)

@@ -148,6 +148,30 @@ class TestBerCurve:
         assert np.corrcoef(sc, mrc)[0, 1] > 0.5
 
 
+class TestTrialStreams:
+    # (SC, semi-MRC) bit errors of trials 0..63 of point 0 at the default
+    # 2 x 500-symbol trial and DEFAULT_SEED, frozen from the per-trial
+    # engine; every trial not listed has (0, 0)
+    PINNED = {
+        ("dqpsk", 30.0): {20: (6, 5), 21: (1, 0), 26: (1, 0)},
+        ("dbpsk", 20.0): {1: (0, 1), 6: (1, 1), 12: (1, 0), 17: (3, 2),
+                          20: (26, 22), 21: (3, 2), 22: (1, 0), 23: (0, 1),
+                          24: (1, 1), 25: (1, 0), 26: (14, 12), 27: (4, 1),
+                          54: (1, 0), 59: (6, 6)},
+    }
+
+    @pytest.mark.parametrize("key", sorted(PINNED))
+    def test_default_frames_pinned(self, key):
+        modulation, power_db = key
+        cfg = ExperimentConfig(modulation=modulation, seed=DEFAULT_SEED)
+        assert (cfg.frames_per_trial, cfg.frame_length) == (2, 500)
+        profile = cfg.profile(power_db)
+        bits = 1000 * cfg.mod.bits_per_symbol
+        got = [harness._run_trial(cfg, profile, 0, t) for t in range(64)]
+        want = [(*self.PINNED[key].get(t, (0, 0)), bits) for t in range(64)]
+        assert got == want
+
+
 class TestPowerSweep:
     def test_argmin_near_known_optimum(self):
         cfg = ExperimentConfig(q_grid=harness.DEFAULT_Q_GRID)

@@ -23,6 +23,7 @@ from dafsc.phy import (
     run_frame,
     select_combine,
     semi_mrc_combine,
+    symbols_to_indices,
 )
 
 
@@ -217,6 +218,37 @@ class TestDetection:
         got = min_distance_detect(z, 2)
         want = np.where(z.real >= 0, 1 + 0j, -1 + 0j)
         np.testing.assert_array_equal(got, want)
+
+
+class TestDetectionTies:
+    """Decision variables on a decision boundary, or 0: the fused chain and
+    min_distance_detect both pick the lowest-index nearest point."""
+
+    # zeta / a -> index of the lowest-index nearest point
+    NEAREST = {
+        2: [(0, 0), (1, 0), (-1, 1), (1j, 0), (-1j, 0),
+            (1 + 1j, 0), (1 - 1j, 0), (-1 + 1j, 1), (-1 - 1j, 1)],
+        4: [(0, 0), (1, 0), (-1, 2), (1j, 1), (-1j, 3),
+            (1 + 1j, 0), (-1 + 1j, 1), (-1 - 1j, 2), (1 - 1j, 0)],
+    }
+
+    @pytest.mark.parametrize("a", [0.5, 1.0, 3.0])
+    @pytest.mark.parametrize("order", [2, 4])
+    def test_tie_table(self, order, a):
+        mod = ModulationParams.dbpsk() if order == 2 else ModulationParams.dqpsk()
+        prof = PowerProfile.from_db(10.0, 0.7)
+        lut = gray_bit_error_lut(order)
+        silent = np.zeros(2, dtype=complex)
+        for unit, nearest in self.NEAREST[order]:
+            zeta = a * complex(unit)
+            assert symbols_to_indices(min_distance_detect(zeta, order), order) == nearest
+            for sent in range(order):
+                # silent channels make y_sd = w_sd = (1, zeta) and y_rd = 0:
+                # SC decides on zeta, semi-MRC on zeta / 2
+                errs = chain_error_counts([sent], silent, silent, silent,
+                                          np.array([1.0, zeta]), silent, silent,
+                                          profile=prof, mod=mod, frame_len=1)
+                assert errs == (lut[sent, nearest], lut[sent, nearest]), (zeta, sent)
 
 
 class TestGrayMapping:

@@ -12,6 +12,7 @@ from dafsc.specfn import (
     QuadratureSpec,
     bessel_j0,
     bessel_k1,
+    bessel_k1_complement,
     bessel_k1_scaled,
     exp_integral_e1,
     integrate_periodic,
@@ -44,6 +45,20 @@ K1_STRADDLE = [
     (5.51, 0.0023000964798673158),
     (5.6, 0.00208322495060979),
     (6.0, 0.001343919717735509),
+]
+# 40-digit mpmath values of 1 - x K1(x), down to where x K1(x) rounds to 1
+# and across the series / direct split at x = 2.
+K1_COMPLEMENT = [
+    (1e-12, 1.412347631579348e-23),
+    (1e-06, 7.2157210368122915e-12),
+    (0.001, 3.7618439144257222e-6),
+    (0.1, 0.014615521912939388),
+    (1.0, 0.39809276980276543),
+    (1.99, 0.7179820523714214),
+    (2.0, 0.72026823636695515),
+    (2.01, 0.72253783658839254),
+    (5.0, 0.97977693277273918),
+    (20.0, 0.99999998823388406),
 ]
 
 
@@ -159,6 +174,18 @@ class TestBesselK1:
             bessel_k1(0.0)
 
 
+class TestBesselK1Complement:
+    def test_matches_mpmath(self):
+        x = np.array([row[0] for row in K1_COMPLEMENT])
+        want = np.array([row[1] for row in K1_COMPLEMENT])
+        got = bessel_k1_complement(x)
+        assert np.max(np.abs(got - want) / want) <= 1e-13
+
+    def test_domain_error(self):
+        with pytest.raises(ValueError):
+            bessel_k1_complement(0.0)
+
+
 class TestBesselJ0:
     def test_at_zero(self):
         assert bessel_j0(0.0) == 1.0
@@ -179,7 +206,8 @@ class TestBesselJ0:
 
 
 class TestArrayEvaluation:
-    FUNCS = [exp_integral_e1, scaled_e1, bessel_k1, bessel_k1_scaled, bessel_j0]
+    FUNCS = [exp_integral_e1, scaled_e1, bessel_k1, bessel_k1_scaled,
+             bessel_k1_complement, bessel_j0]
 
     @pytest.mark.parametrize("func", FUNCS, ids=lambda f: f.__name__)
     def test_shapes(self, func):
@@ -215,7 +243,7 @@ class TestArrayEvaluation:
         assert np.max(np.abs(scaled - want * np.exp(mixed[:, 0])) / scaled) <= 1e-10
 
     def test_empty_input(self):
-        for func in self.FUNCS[:4]:
+        for func in self.FUNCS[:5]:
             assert func(np.array([])).shape == (0,)
 
 
