@@ -5,8 +5,9 @@ analytical engine, with post-detection selection combining and fixed-weight
 The package splits into: special functions and quadrature (``specfn``),
 correlated Rayleigh fading and noise generation (``fading``), the
 transmit/relay/receive chain (``phy``), closed-form BER / outage analysis
-(``analysis``), and experiment orchestration with a CLI (``harness``,
-``cli``).
+(``analysis``), experiment orchestration and CSV emission (``harness``), the
+validation suite with its independent quadrature oracles (``validate``), and
+the CLI (``cli``).
 """
 
 from .analysis import (
@@ -22,7 +23,6 @@ from .harness import (
     run_ber_curve,
     run_outage_curve,
     run_power_allocation_sweep,
-    run_validation_suite,
 )
 from .phy import (
     ModulationParams,
@@ -44,6 +44,7 @@ from .specfn import (
     integrate_theta,
     scaled_e1,
 )
+from .validate import run_validation_suite
 
 __version__ = "0.1.0"
 

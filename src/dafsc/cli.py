@@ -11,11 +11,13 @@ converge.
 
 import argparse
 import io
+import json
 import math
+import os
 import sys
 from dataclasses import fields
 
-from . import harness
+from . import harness, validate
 from .harness import ExperimentConfig
 from .specfn import QuadratureConvergenceError
 
@@ -167,9 +169,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "validate":
-            report = harness.run_validation_suite(
+            report = validate.run_validation_suite(
                 seed=args.seed if args.seed is not None else harness.DEFAULT_SEED)
-            _emit(harness.validation_report_json(report) + "\n", args.out)
+            _emit(json.dumps(report, indent=2) + "\n", args.out)
             for check in report["checks"]:
                 status = "PASS" if check["passed"] else "FAIL"
                 print(f"{status} {check['name']}: {check['observed']:.3e} "
@@ -192,9 +194,8 @@ def main(argv=None) -> int:
             chunks = []
             for p_db, rows in tables.items():
                 if args.out:
-                    stem, dot, ext = args.out.rpartition(".")
-                    path = f"{stem}_P{p_db:.2f}dB.{ext}" if dot else f"{args.out}_P{p_db:.2f}dB"
-                    harness.write_ber_csv(path, rows)
+                    stem, ext = os.path.splitext(args.out)
+                    harness.write_ber_csv(f"{stem}_P{p_db:.2f}dB{ext}", rows)
                 else:
                     chunks.append(harness.ber_csv_text(rows))
             if chunks:

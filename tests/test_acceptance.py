@@ -17,7 +17,7 @@ from dafsc import _reference_tables as tables
 from dafsc import analysis, harness, specfn
 from dafsc.fading import FadingConfig, generate_fading
 from dafsc.phy import ModulationParams, PowerProfile
-from oracles import oracle_ber_2d, outage_quadrature
+from dafsc.validate import oracle_ber_2d, outage_quadrature
 
 MODS = {"dbpsk": ModulationParams.dbpsk(), "dqpsk": ModulationParams.dqpsk()}
 SEED = harness.DEFAULT_SEED

@@ -17,7 +17,7 @@ from dafsc.analysis import (
 )
 from dafsc.phy import ModulationParams, PowerProfile
 from dafsc.specfn import integrate_theta, scaled_e1
-from oracles import oracle_ber_2d, outage_quadrature
+from dafsc.validate import oracle_ber_2d, outage_quadrature
 
 DBPSK = ModulationParams.dbpsk()
 DQPSK = ModulationParams.dqpsk()

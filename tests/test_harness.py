@@ -2,6 +2,10 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,12 +20,12 @@ from dafsc.harness import (
     run_ber_curve,
     run_outage_curve,
     run_power_allocation_sweep,
-    run_validation_suite,
     simulate_point,
     trial_seed_sequence,
     write_ber_csv,
     write_outage_csv,
 )
+from dafsc.validate import run_validation_suite
 
 FAST_SIM = dict(
     power_db=(10.0, 15.0),
@@ -286,6 +290,15 @@ class TestValidationSuite:
         failing = {c["name"] for c in report["checks"] if not c["passed"]}
         assert failing == {"specfn.k1_grid"}
 
+    def test_tampered_periodic_rule_detected(self, monkeypatch):
+        true_rule = specfn.integrate_periodic
+        monkeypatch.setattr(specfn, "integrate_periodic",
+                            lambda f, spec=None: 1.01 * true_rule(f, spec))
+        report = run_validation_suite()
+        assert not report["passed"]
+        failing = {c["name"] for c in report["checks"] if not c["passed"]}
+        assert failing == {"quadrature.closed_form"}
+
 
 class TestConfigFile:
     def test_parse_and_types(self, tmp_path):
@@ -424,12 +437,32 @@ class TestCli:
         err = capsys.readouterr().err
         assert "minimized at" in err
 
+    def test_power_sweep_out_dots_in_directories(self, tmp_path):
+        (tmp_path / "out.d").mkdir()
+        for out, want in ((f"{tmp_path}/./sweep", tmp_path / "sweep_P15.00dB"),
+                          (f"{tmp_path}/out.d/sweep", tmp_path / "out.d" / "sweep_P15.00dB"),
+                          (f"{tmp_path}/sweep.csv", tmp_path / "sweep_P15.00dB.csv")):
+            code = cli.main(["power-sweep", "--mod", "dbpsk", "--power-db", "15",
+                             "--q-grid", "0.5,0.7", "--out", out])
+            assert code == 0
+            assert [r.x for r in read_ber_csv(want)] == [0.5, 0.7]
+
     def test_power_sweep_honours_power_db(self, capsys):
         code = cli.main(["power-sweep", "--power-db", "10", "--q-grid", "0.5,0.7"])
         assert code == 0
         lines = [ln for ln in capsys.readouterr().err.splitlines()
                  if ln.startswith("P = ")]
         assert len(lines) == 1 and lines[0].startswith("P = 10.00 dB")
+
+    def test_import_leaves_scipy_and_reference_tables_unloaded(self):
+        # scipy.integrate alone takes longer to import than the whole package
+        src = Path(__file__).resolve().parents[1] / "src"
+        probe = ("import sys, dafsc, dafsc.cli; print(sorted(m for m in "
+                 "('scipy', 'dafsc._reference_tables') if m in sys.modules))")
+        result = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                                text=True, check=True,
+                                env={**os.environ, "PYTHONPATH": str(src)})
+        assert result.stdout.strip() == "[]"
 
     def test_quadrature_failure_exit_code(self, monkeypatch, capsys):
         def diverge(mod, profile):
