@@ -27,11 +27,8 @@ from .harness import (
 from .phy import (
     ModulationParams,
     PowerProfile,
-    SymbolFrame,
-    differential_decode,
     differential_encode,
     min_distance_detect,
-    run_frame,
     select_combine,
     semi_mrc_combine,
 )
@@ -70,11 +67,8 @@ __all__ = [
     "run_validation_suite",
     "ModulationParams",
     "PowerProfile",
-    "SymbolFrame",
-    "differential_decode",
     "differential_encode",
     "min_distance_detect",
-    "run_frame",
     "select_combine",
     "semi_mrc_combine",
     "QuadratureConvergenceError",

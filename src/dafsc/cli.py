@@ -4,9 +4,9 @@ Subcommands: ``ber-curve``, ``power-sweep``, ``outage``, ``validate``.
 Values can also come from a key=value config file via ``--config``;
 explicit flags override file entries.
 
-Exit codes: 0 success, 1 usage error, 2 validation failure, 3 budget
-warnings escalated by ``--strict`` or an analytical integral that did not
-converge.
+Exit codes: 0 success, 1 usage error (including a dB value too large to
+convert to linear units), 2 validation failure, 3 budget warnings
+escalated by ``--strict`` or an analytical integral that did not converge.
 """
 
 import argparse
@@ -29,6 +29,12 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _finite(text: str) -> float:
+    if not math.isfinite(value := float(text)):
+        raise ValueError(f"grid values must be finite, got {text.strip()!r}")
+    return value
+
+
 def parse_grid(text: str):
     """Parse a numeric list ("5,10,15") or inclusive range ("5:35:2.5")."""
     text = text.strip()
@@ -36,7 +42,7 @@ def parse_grid(text: str):
         parts = text.split(":")
         if len(parts) != 3:
             raise ValueError(f"range must be start:stop:step, got {text!r}")
-        start, stop, step = (float(p) for p in parts)
+        start, stop, step = (_finite(p) for p in parts)
         if step <= 0:
             raise ValueError("range step must be > 0")
         # each value from its index, so no rounding error accumulates
@@ -44,7 +50,7 @@ def parse_grid(text: str):
         if count < 1:
             raise ValueError(f"empty range {text!r}")
         return tuple(round(start + i * step, 10) for i in range(count))
-    return tuple(float(p) for p in text.split(",") if p.strip())
+    return tuple(_finite(p) for p in text.split(",") if p.strip())
 
 
 _CONFIG_KEYS = {f.name for f in fields(ExperimentConfig)}
@@ -214,6 +220,9 @@ def main(argv=None) -> int:
             return 0
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except OverflowError:
+        print("error: a dB value is too large for a float", file=sys.stderr)
         return 1
     except QuadratureConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)

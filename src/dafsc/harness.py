@@ -65,6 +65,8 @@ class ExperimentConfig:
 
     def __post_init__(self):
         ModulationParams.from_name(self.modulation)
+        FadingConfig(normalized_doppler=self.normalized_doppler,
+                     num_sinusoids=self.num_sinusoids)
         if not self.power_db or not self.q_grid or not self.sweep_power_db:
             raise ValueError("power and q grids must be nonempty")
         if not (0.0 < self.q < 1.0):
@@ -272,6 +274,8 @@ def run_outage_curve(config: ExperimentConfig, gamma_th_db, mc_draws: int = 0):
     sampling the combiner output SNR directly.  The closed form is
     evaluated in one call per power over the whole threshold grid.
     """
+    if mc_draws < 0:
+        raise ValueError("mc_draws must be >= 0")
     rows = []
     g_lin = np.array([10.0 ** (g_db / 10.0) for g_db in gamma_th_db])
     for i, p_db in enumerate(config.power_db):

@@ -16,7 +16,7 @@ nearest points, or zeta = 0, to the lower constellation index.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,21 +68,21 @@ class ModulationParams:
 class PowerProfile:
     """Total power split between source and relay, plus the relay gain.
 
-    ``q`` is the fraction of the total power assigned to the source;
-    the default amplification sqrt(p1 / (p0 + 1)) normalizes the average
-    relay transmit power to p1 under unit-variance relay noise.
+    ``q`` is the fraction of the total power assigned to the source; a
+    None amplification becomes sqrt(p1 / (p0 + 1)), which normalizes the
+    average relay transmit power to p1 under unit-variance relay noise.
     """
 
     total_power: float
     q: float
-    amplification: float = field(default=float("nan"))
+    amplification: float | None = None
 
     def __post_init__(self):
         if not (self.total_power > 0.0):
             raise ValueError("total_power must be > 0")
         if not (0.0 < self.q < 1.0):
             raise ValueError("q must lie in (0, 1)")
-        if math.isnan(self.amplification):
+        if self.amplification is None:
             object.__setattr__(
                 self, "amplification", math.sqrt(self.p1 / (self.p0 + 1.0))
             )
@@ -101,10 +101,7 @@ class PowerProfile:
     def from_db(
         cls, total_power_db: float, q: float, amplification: float | None = None
     ) -> "PowerProfile":
-        p = 10.0 ** (total_power_db / 10.0)
-        if amplification is None:
-            return cls(total_power=p, q=q)
-        return cls(total_power=p, q=q, amplification=amplification)
+        return cls(10.0 ** (total_power_db / 10.0), q, amplification)
 
 
 def constellation(order: int) -> np.ndarray:
@@ -146,56 +143,14 @@ def symbols_to_indices(symbols, order: int) -> np.ndarray:
     return idx
 
 
-@dataclass(frozen=True)
-class SymbolFrame:
-    """One frame of information symbols with its differential encoding.
-
-    The encoded sequence starts from the reference symbol 1 and applies
-    s[k] = v[k] * s[k-1]; encoding is tracked on constellation indices so
-    every element stays exactly unit magnitude.
-    """
-
-    order: int
-    info_indices: np.ndarray
-
-    @classmethod
-    def from_symbols(cls, symbols, order: int) -> "SymbolFrame":
-        return cls(order=order, info_indices=symbols_to_indices(symbols, order))
-
-    @classmethod
-    def random(cls, order: int, length: int, rng: np.random.Generator) -> "SymbolFrame":
-        return cls(order=order, info_indices=rng.integers(0, order, length))
-
-    @property
-    def info_symbols(self) -> np.ndarray:
-        return constellation(self.order)[self.info_indices]
-
-    @property
-    def encoded_indices(self) -> np.ndarray:
-        idx = np.zeros(self.info_indices.size + 1, dtype=np.int64)
-        idx[1:] = np.cumsum(self.info_indices) % self.order
-        return idx
-
-    @property
-    def encoded(self) -> np.ndarray:
-        return constellation(self.order)[self.encoded_indices]
-
-    def __len__(self) -> int:
-        return int(self.info_indices.size)
-
-
 def differential_encode(symbols, order: int) -> np.ndarray:
     """Differentially encode M-PSK symbols: s[0] = 1, s[k] = v[k] s[k-1].
 
-    Output is one element longer than the input.
+    Output is one element longer than the input; encoding runs on
+    constellation indices, so every element is an exact constellation point.
     """
-    return SymbolFrame.from_symbols(symbols, order).encoded
-
-
-def differential_decode(encoded, order: int) -> np.ndarray:
-    """Invert :func:`differential_encode` (exact on noiseless symbols)."""
-    s_idx = symbols_to_indices(encoded, order)
-    return constellation(order)[np.mod(np.diff(s_idx), order)]
+    idx = np.cumsum(symbols_to_indices(symbols, order)) % order
+    return constellation(order)[np.concatenate(([0], idx))]
 
 
 def relay_forward(y_sr, amplification: float, h_rd, w_rd) -> np.ndarray:
@@ -359,56 +314,17 @@ def chain_error_counts(
     return int(err_sc), int(err_mrc)
 
 
-@dataclass(frozen=True)
-class FrameResult:
-    bit_errors_sc: int
-    bit_errors_mrc: int
-    bits: int
-
-
-def run_frame(
-    frame: SymbolFrame,
-    channels,
-    profile: PowerProfile,
-    noise_rng: np.random.Generator,
-) -> FrameResult:
-    """Transmit one frame end to end and count bit errors per combiner.
-
-    ``channels`` is the (h_sd, h_sr, h_rd) tap triple, each covering the
-    encoded frame length.  The three unit-variance noise sequences are
-    drawn from ``noise_rng`` in a fixed order, so both combiners see the
-    same realization (paired comparison).
-    """
-    from .fading import generate_awgn
-
-    h_sd, h_sr, h_rd = (np.asarray(h) for h in channels)
-    n = len(frame) + 1
-    if min(h_sd.size, h_sr.size, h_rd.size) < n:
-        raise ValueError("channel processes shorter than the encoded frame")
-    w = [generate_awgn(noise_rng, n, 1.0) for _ in range(3)]
-    mod = ModulationParams.dbpsk() if frame.order == 2 else ModulationParams.dqpsk()
-    err_sc, err_mrc = chain_error_counts(
-        frame.info_indices, h_sd[:n], h_sr[:n], h_rd[:n], *w,
-        profile=profile, mod=mod, frame_len=len(frame),
-    )
-    return FrameResult(err_sc, err_mrc, len(frame) * mod.bits_per_symbol)
-
-
 __all__ = [
     "ModulationParams",
     "PowerProfile",
-    "SymbolFrame",
-    "FrameResult",
     "constellation",
     "gray_bit_error_lut",
     "symbols_to_indices",
     "differential_encode",
-    "differential_decode",
     "relay_forward",
     "decision_variables",
     "select_combine",
     "semi_mrc_combine",
     "min_distance_detect",
     "chain_error_counts",
-    "run_frame",
 ]

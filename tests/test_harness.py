@@ -68,6 +68,9 @@ class TestExperimentConfig:
         dict(workers=0),
         dict(max_symbols=10),
         dict(seed=-1),
+        dict(normalized_doppler=0.7),
+        dict(normalized_doppler=float("nan")),
+        dict(num_sinusoids=4),
     ])
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):
@@ -229,6 +232,10 @@ class TestOutageCurve:
             assert r.analytical == pytest.approx(want, rel=1e-15)
             assert type(r.analytical) is float
 
+    def test_negative_mc_draws_rejected(self):
+        with pytest.raises(ValueError):
+            run_outage_curve(ExperimentConfig(power_db=(10.0,)), [0.0], mc_draws=-5)
+
     def test_mc_column_within_ci(self):
         cfg = ExperimentConfig(power_db=(10.0,), seed=6)
         rows = run_outage_curve(cfg, gamma_th_db=(0.0, 5.0), mc_draws=200_000)
@@ -380,6 +387,11 @@ class TestGridParsing:
         with pytest.raises(ValueError):
             cli.parse_grid("35:5:1")
 
+    @pytest.mark.parametrize("text", ["inf", "nan", "5,-inf", "0:inf:1", "0:10:nan"])
+    def test_non_finite_rejected(self, text):
+        with pytest.raises(ValueError):
+            cli.parse_grid(text)
+
 
 class TestCli:
     def test_analytical_only_curve(self, tmp_path, capsys):
@@ -412,6 +424,20 @@ class TestCli:
 
     def test_bad_grid_exit_code(self):
         assert cli.main(["ber-curve", "--power-db", "abc", "--analytical-only"]) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["ber-curve", "--analytical-only", "--power-db", "20", "--amp", "nan"],
+        ["ber-curve", "--analytical-only", "--power-db", "20", "--doppler", "0.7"],
+        ["outage", "--power-db", "10", "--gamma-db=inf"],
+        ["outage", "--power-db", "10", "--gamma-db=nan"],
+        ["outage", "--power-db", "10", "--gamma-db", "0", "--mc-draws", "-5"],
+        # 10 ** (x / 10) overflows a float above about 3082.5 dB
+        ["ber-curve", "--analytical-only", "--power-db", "4000"],
+        ["outage", "--power-db", "10", "--gamma-db=4000"],
+    ])
+    def test_invalid_value_exit_code(self, argv, capsys):
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_min_errors_below_floor_is_usage_error(self):
         assert cli.main(["ber-curve", "--power-db", "10", "--min-errors", "10"]) == 1

@@ -1,26 +1,22 @@
-"""Transmit/relay/receive chain operations and the paired-frame runner."""
+"""Transmit/relay/receive chain operations and the fused chain kernel."""
 
 import math
 
 import numpy as np
 import pytest
 
-from dafsc import analysis
+from dafsc import analysis, harness
 from dafsc.fading import FadingConfig, generate_awgn, generate_fading
 from dafsc.phy import (
-    FrameResult,
     ModulationParams,
     PowerProfile,
-    SymbolFrame,
     chain_error_counts,
     constellation,
     decision_variables,
-    differential_decode,
     differential_encode,
     gray_bit_error_lut,
     min_distance_detect,
     relay_forward,
-    run_frame,
     select_combine,
     semi_mrc_combine,
     symbols_to_indices,
@@ -65,6 +61,8 @@ class TestPowerProfile:
             PowerProfile(total_power=1.0, q=1.0)
         with pytest.raises(ValueError):
             PowerProfile(total_power=1.0, q=0.5, amplification=-1.0)
+        with pytest.raises(ValueError):
+            PowerProfile(total_power=1.0, q=0.5, amplification=float("nan"))
 
 
 class TestDifferentialEncoding:
@@ -81,19 +79,12 @@ class TestDifferentialEncoding:
 
     def test_output_longer_by_one_and_unit_magnitude(self):
         rng = np.random.default_rng(0)
-        frame = SymbolFrame.random(4, 257, rng)
-        enc = frame.encoded
+        info = constellation(4)[rng.integers(0, 4, 257)]
+        enc = differential_encode(info, 4)
         assert enc.size == 258
         np.testing.assert_allclose(np.abs(enc), 1.0, atol=1e-12)
         # recursion s[k] = v[k] s[k-1]
-        np.testing.assert_allclose(enc[1:], frame.info_symbols * enc[:-1], atol=1e-12)
-
-    def test_decode_inverts_encode(self):
-        rng = np.random.default_rng(1)
-        for order in (2, 4):
-            frame = SymbolFrame.random(order, 100, rng)
-            got = differential_decode(frame.encoded, order)
-            np.testing.assert_allclose(got, frame.info_symbols, atol=1e-12)
+        np.testing.assert_allclose(enc[1:], info * enc[:-1], atol=1e-12)
 
     def test_domain_error_for_foreign_symbol(self):
         with pytest.raises(ValueError):
@@ -140,12 +131,11 @@ class TestDecisionVariables:
 
     def test_noiseless_direct_link_carries_symbol(self):
         rng = np.random.default_rng(3)
-        frame = SymbolFrame.random(4, 50, rng)
+        info = constellation(4)[rng.integers(0, 4, 50)]
         h = 0.3 - 0.8j
-        y = math.sqrt(5.0) * h * frame.encoded
+        y = math.sqrt(5.0) * h * differential_encode(info, 4)
         z_sd, _ = decision_variables(y, y)
-        np.testing.assert_allclose(z_sd, 5.0 * abs(h) ** 2 * frame.info_symbols,
-                                   rtol=1e-12)
+        np.testing.assert_allclose(z_sd, 5.0 * abs(h) ** 2 * info, rtol=1e-12)
 
     def test_shape_error(self):
         with pytest.raises(ValueError):
@@ -311,20 +301,13 @@ class TestChain:
         # with the between-trial (cluster) standard error
         mod = ModulationParams.dbpsk()
         prof = PowerProfile.from_db(20.0, 0.7)
-        trials, frames, L = 600, 4, 500
+        config = harness.ExperimentConfig(seed=1234, frames_per_trial=4,
+                                          frame_length=500)
+        trials, bits_per_trial = 600, 4 * 500
         rates = []
-        bits_per_trial = frames * L
         total_err = 0
         for t in range(trials):
-            ss = np.random.SeedSequence(entropy=(1234, 0, t))
-            streams = [np.random.default_rng(c) for c in ss.spawn(7)]
-            n = frames * (L + 1)
-            cfg = FadingConfig(normalized_doppler=0.001)
-            taps = [generate_fading(cfg, n, rng=streams[i]) for i in range(3)]
-            noise = [generate_awgn(streams[3 + i], n, 1.0) for i in range(3)]
-            v = streams[6].integers(0, 2, frames * L)
-            e_sc, _ = chain_error_counts(v, *taps, *noise, profile=prof,
-                                         mod=mod, frame_len=L)
+            e_sc, _, _ = harness._run_trial(config, prof, 0, t)
             total_err += e_sc
             rates.append(e_sc / bits_per_trial)
         ber = total_err / (trials * bits_per_trial)
@@ -332,33 +315,3 @@ class TestChain:
         ana = analysis.analytical_ber(mod, prof)
         assert abs(ber - ana) <= 3.0 * se
 
-
-class TestRunFrame:
-    def test_noiseless_like_high_power(self):
-        rng = np.random.default_rng(10)
-        frame = SymbolFrame.random(2, 200, rng)
-        cfg = FadingConfig(normalized_doppler=0.0, seed=3)
-        taps = [generate_fading(FadingConfig(normalized_doppler=0.0, seed=s), 201)
-                for s in (1, 2, 3)]
-        prof = PowerProfile.from_db(60.0, 0.7)
-        result = run_frame(frame, taps, prof, np.random.default_rng(11))
-        assert isinstance(result, FrameResult)
-        assert result.bits == 200
-        assert result.bit_errors_sc == 0 and result.bit_errors_mrc == 0
-
-    def test_channel_length_validation(self):
-        rng = np.random.default_rng(12)
-        frame = SymbolFrame.random(2, 100, rng)
-        short = np.ones(50, dtype=complex)
-        with pytest.raises(ValueError):
-            run_frame(frame, [short, short, short],
-                      PowerProfile.from_db(10.0, 0.5), rng)
-
-    def test_same_seeds_reproduce(self):
-        rng = np.random.default_rng(13)
-        frame = SymbolFrame.random(4, 300, rng)
-        taps = [generate_fading(FadingConfig(seed=s), 301) for s in (4, 5, 6)]
-        prof = PowerProfile.from_db(12.0, 0.6)
-        r1 = run_frame(frame, taps, prof, np.random.default_rng(99))
-        r2 = run_frame(frame, taps, prof, np.random.default_rng(99))
-        assert r1 == r2
