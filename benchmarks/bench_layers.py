@@ -44,7 +44,7 @@ def layers():
     fcfg = fading.FadingConfig()
     rng = np.random.default_rng(1)
     taps = [fading.generate_fading(fcfg, USES, rng=rng) for _ in range(3)]
-    noise = [fading.generate_awgn(rng, USES, 1.0) for _ in range(3)]
+    noise = [fading.generate_awgn(rng, USES) for _ in range(3)]
     v_idx = rng.integers(0, mod.order, SYMBOLS)
     trial = itertools.count()
 
@@ -55,7 +55,7 @@ def layers():
     return [
         ("seeding", seeding),
         ("fading", lambda: fading.generate_fading(fcfg, USES, rng=rng)),
-        ("awgn", lambda: fading.generate_awgn(rng, USES, 1.0)),
+        ("awgn", lambda: fading.generate_awgn(rng, USES)),
         ("symbols", lambda: rng.integers(0, mod.order, SYMBOLS)),
         ("chain", lambda: phy.chain_error_counts(
             v_idx, *taps, *noise, profile=profile, mod=mod, frame_len=SYMBOLS // 2)),

@@ -22,12 +22,7 @@ import math
 import numpy as np
 
 from .phy import ModulationParams, PowerProfile
-from .specfn import (
-    QuadratureSpec,
-    bessel_k1_complement,
-    integrate_periodic,
-    scaled_e1,
-)
+from .specfn import bessel_k1_complement, integrate_periodic, scaled_e1
 
 
 def angle_weights(theta, mod: ModulationParams):
@@ -90,30 +85,22 @@ def _ber_integrand(theta, mod: ModulationParams, profile: PowerProfile):
     return weight * (term_direct + term_relay - term_joint)
 
 
-def analytical_ber(
-    mod: ModulationParams,
-    profile: PowerProfile,
-    quad: QuadratureSpec | None = None,
-) -> float:
+def analytical_ber(mod: ModulationParams, profile: PowerProfile) -> float:
     """Exact average bit error rate of the selection combiner.
 
-    The angle integral is evaluated by the periodic trapezoid rule under
-    ``quad``; deterministic for a fixed spec.  The value lies in
+    The angle integral is evaluated by the periodic trapezoid rule at the
+    default tolerances; deterministic.  The value lies in
     (0, 1/2] and tends to 1/2 as the powers vanish.  At high power the
     relayed-branch terms, through scaled_e1(x) = -ln x - gamma + O(x),
     reduce to (1/A^2) ln(A^2 s)/s^2 + O(1/s^2) with s = 1 + scale p0, so
     BER p0^2 / ln(A^2 p0) tends to a constant: diversity order two times
     the logarithmic factor of the fixed-gain relay branch.
     """
-    value = integrate_periodic(lambda th: _ber_integrand(th, mod, profile), quad)
+    value = integrate_periodic(lambda th: _ber_integrand(th, mod, profile))
     return value / (4.0 * math.pi)
 
 
-def ber_high_snr_approx(
-    mod: ModulationParams,
-    profile: PowerProfile,
-    quad: QuadratureSpec | None = None,
-) -> float:
+def ber_high_snr_approx(mod: ModulationParams, profile: PowerProfile) -> float:
     """High-power BER approximation exhibiting the diversity slope of two.
 
     Replaces both averaged branch terms by their dominant rational parts,
@@ -129,7 +116,7 @@ def ber_high_snr_approx(
         weight, snr_scale = angle_weights(theta, mod)
         return weight * 2.0 / ((1.0 + snr_scale * p0) * (2.0 + snr_scale * p0))
 
-    return integrate_periodic(integrand, quad) / (4.0 * math.pi)
+    return integrate_periodic(integrand) / (4.0 * math.pi)
 
 
 def outage_probability(gamma_th, profile: PowerProfile):
@@ -150,7 +137,9 @@ def outage_probability(gamma_th, profile: PowerProfile):
         raise ValueError("gamma_th must be >= 0")
     p0 = profile.p0
     a2 = profile.amplification**2
-    x = np.sqrt(4.0 * g / (a2 * p0))
+    # x = inf where A^2 p0 underflows to 0 (nan at g = 0, masked below)
+    with np.errstate(all="ignore"):
+        x = np.sqrt(4.0 * g / (a2 * p0))
     k1_gap = np.zeros_like(x)  # 1 - x K1(x); 0 at x = 0
     positive = x > 0.0
     if positive.any():

@@ -53,14 +53,20 @@ def parse_grid(text: str):
     return tuple(_finite(p) for p in text.split(",") if p.strip())
 
 
-_CONFIG_KEYS = {f.name for f in fields(ExperimentConfig)}
-_GRID_KEYS = {"power_db", "q_grid", "sweep_power_db"}
-_INT_KEYS = {"num_sinusoids", "frame_length", "frames_per_trial", "batch_trials",
-             "min_bit_errors", "min_error_trials", "max_symbols", "seed", "workers"}
-_FLOAT_KEYS = {"q", "amplification", "normalized_doppler"}
-_BOOL_KEYS = {"analytical_only"}
 _BOOL_WORDS = {"1": True, "true": True, "yes": True, "on": True,
                "0": False, "false": False, "no": False, "off": False}
+
+
+def _parse_bool(text: str) -> bool:
+    if text.lower() not in _BOOL_WORDS:
+        raise ValueError(f"must be one of 1/true/yes/on or 0/false/no/off, got {text!r}")
+    return _BOOL_WORDS[text.lower()]
+
+
+# each config key's parser, from its ExperimentConfig annotation
+_TYPE_PARSERS = {tuple: parse_grid, int: int, bool: _parse_bool, str: str}
+_KEY_PARSERS = {f.name: _TYPE_PARSERS.get(f.type, float)
+                for f in fields(ExperimentConfig)}
 
 
 def load_config_file(path: str) -> dict:
@@ -74,22 +80,12 @@ def load_config_file(path: str) -> dict:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key = value")
             key, value = (part.strip() for part in line.split("=", 1))
-            if key not in _CONFIG_KEYS:
+            if key not in _KEY_PARSERS:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            if key in _GRID_KEYS:
-                out[key] = parse_grid(value)
-            elif key in _INT_KEYS:
-                out[key] = int(value)
-            elif key in _FLOAT_KEYS:
-                out[key] = float(value)
-            elif key in _BOOL_KEYS:
-                if value.lower() not in _BOOL_WORDS:
-                    raise ValueError(f"{path}:{lineno}: {key} must be one of "
-                                     "1/true/yes/on or 0/false/no/off, "
-                                     f"got {value!r}")
-                out[key] = _BOOL_WORDS[value.lower()]
-            else:
-                out[key] = value
+            try:
+                out[key] = _KEY_PARSERS[key](value)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
     return out
 
 

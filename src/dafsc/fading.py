@@ -3,14 +3,9 @@
 Channel taps are produced by a sum-of-sinusoids synthesizer with randomized
 arrival angles and phases, giving zero-mean, unit-variance complex Gaussian
 processes whose autocorrelation follows the classical land-mobile model
-J0(2*pi*fd*Ts*n).  Distinct seeds give statistically independent processes,
-which is how the source-destination, source-relay and relay-destination
-links are kept spatially uncorrelated.
-
-The synthesizer evaluates the sum by blocks: each sinusoid's phasor over a
-block and over the block starts comes from a running product of one
-complex exponential, and a matrix product sums the sinusoids, so a record
-of L taps costs O(sqrt(L)) cosines instead of O(L) per sinusoid.
+J0(2*pi*fd*Ts*n).  Independent generator streams give statistically
+independent processes, which is how the source-destination, source-relay
+and relay-destination links are kept spatially uncorrelated.
 """
 
 import math
@@ -30,7 +25,6 @@ class FadingConfig:
 
     normalized_doppler: float = 0.001
     num_sinusoids: int = 16
-    seed: int | None = None
 
     def __post_init__(self):
         if not (0.0 <= self.normalized_doppler < 0.5):
@@ -39,13 +33,27 @@ class FadingConfig:
             raise ValueError("num_sinusoids must be >= 8")
 
 
-def _sos_taps_numpy_impl(length, w_d, cos_alpha, sin_alpha, phi, psi):
-    """Sum of ``cos(w_d*cos_alpha[n]*k + phi[n])`` (real arm) and of
-    ``cos(w_d*sin_alpha[n]*k + psi[n])`` (imaginary arm) over n, scaled to
-    unit variance, for k = 0 .. length-1.
+def _draw_angles(num_sinusoids, rng):
+    theta = rng.uniform(-np.pi, np.pi)
+    phi = rng.uniform(-np.pi, np.pi, num_sinusoids)
+    psi = rng.uniform(-np.pi, np.pi, num_sinusoids)
+    n = np.arange(1, num_sinusoids + 1, dtype=np.float64)
+    alpha = (2.0 * np.pi * n - np.pi + theta) / (4.0 * num_sinusoids)
+    return np.cos(alpha), np.sin(alpha), phi, psi
 
-    Tap k is written k = b*M + m with block length M = ceil(sqrt(length)),
-    and angle addition gives, per sinusoid of frequency w and phase p,
+
+def generate_fading(config: FadingConfig, length: int,
+                    rng: np.random.Generator) -> np.ndarray:
+    """Generate ``length`` correlated unit-variance Rayleigh channel taps.
+
+    The taps have ensemble mean 0, variance 1 and lag-n autocorrelation
+    approaching J0(2*pi*fd*Ts*n); the angles and phases come from ``rng``.
+
+    Tap k is the sum of ``cos(w_d*cos_alpha[n]*k + phi[n])`` (real arm)
+    and of ``cos(w_d*sin_alpha[n]*k + psi[n])`` (imaginary arm) over the N
+    sinusoids, scaled by 1/sqrt(N), with w_d = 2*pi*fd*Ts.  Writing
+    k = b*M + m with block length M = ceil(sqrt(length)), angle addition
+    gives, per sinusoid of frequency w and phase p,
 
         cos(w*k + p) = Re(e^{i(w*b*M + p)} * e^{i*w*m}).
 
@@ -56,7 +64,11 @@ def _sos_taps_numpy_impl(length, w_d, cos_alpha, sin_alpha, phi, psi):
     summed over the N sinusoids of an arm, is one (blocks x 2N) @ (2N x M)
     real matrix product of the interleaved real and imaginary parts.
     """
-    n = cos_alpha.shape[0]
+    if length < 1:
+        raise ValueError("length must be >= 1")
+    n = config.num_sinusoids
+    cos_alpha, sin_alpha, phi, psi = _draw_angles(n, rng)
+    w_d = 2.0 * np.pi * config.normalized_doppler
     scale = 1.0 / math.sqrt(n)
     if w_d == 0.0:
         # a static channel repeats tap 0 exactly; BLAS does not promise the
@@ -92,51 +104,20 @@ def _sos_taps_numpy_impl(length, w_d, cos_alpha, sin_alpha, phi, psi):
     return taps.reshape(-1)[:length]
 
 
-def _draw_angles(num_sinusoids, rng):
-    theta = rng.uniform(-np.pi, np.pi)
-    phi = rng.uniform(-np.pi, np.pi, num_sinusoids)
-    psi = rng.uniform(-np.pi, np.pi, num_sinusoids)
-    n = np.arange(1, num_sinusoids + 1, dtype=np.float64)
-    alpha = (2.0 * np.pi * n - np.pi + theta) / (4.0 * num_sinusoids)
-    return np.cos(alpha), np.sin(alpha), phi, psi
+def generate_awgn(rng: np.random.Generator, length: int) -> np.ndarray:
+    """Unit-variance circularly-symmetric complex Gaussian noise, i.i.d.
+    per sample, drawn from ``rng``.
 
-
-def generate_fading(
-    config: FadingConfig, length: int, rng: np.random.Generator | None = None
-) -> np.ndarray:
-    """Generate ``length`` correlated unit-variance Rayleigh channel taps.
-
-    The returned complex array has ensemble mean 0 and variance 1 per tap,
-    with lag-n autocorrelation approaching J0(2*pi*fd*Ts*n).  Passing
-    ``rng`` overrides the seed in ``config`` (used by the harness to hand
-    each simulation trial its own stream).  Identical (config, length)
-    yield identical output.
+    The first ``length`` standard normals are the real parts and the next
+    ``length`` the imaginary parts, each scaled by sqrt(1/2).
     """
     if length < 1:
         raise ValueError("length must be >= 1")
-    if rng is None:
-        rng = np.random.default_rng(config.seed)
-    cos_a, sin_a, phi, psi = _draw_angles(config.num_sinusoids, rng)
-    w_d = 2.0 * np.pi * config.normalized_doppler
-    return _sos_taps_numpy_impl(length, w_d, cos_a, sin_a, phi, psi)
-
-
-def generate_awgn(seed, length: int, variance: float = 1.0) -> np.ndarray:
-    """Circularly-symmetric complex Gaussian noise, i.i.d. per sample.
-
-    Real and imaginary parts each carry ``variance / 2``.  ``seed`` may be
-    anything ``np.random.default_rng`` accepts, or an existing Generator.
-    """
-    if length < 1:
-        raise ValueError("length must be >= 1")
-    if not (variance > 0.0):
-        raise ValueError("variance must be > 0")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     z = rng.standard_normal((2, length))
     w = np.empty(length, dtype=np.complex128)
     w.real = z[0]
     w.imag = z[1]
-    w *= math.sqrt(variance / 2.0)
+    w *= math.sqrt(0.5)
     return w
 
 

@@ -64,9 +64,7 @@ class ExperimentConfig:
     analytical_only: bool = False
 
     def __post_init__(self):
-        ModulationParams.from_name(self.modulation)
-        FadingConfig(normalized_doppler=self.normalized_doppler,
-                     num_sinusoids=self.num_sinusoids)
+        self.mod, self.fading  # build both: each raises on a bad setting
         if not self.power_db or not self.q_grid or not self.sweep_power_db:
             raise ValueError("power and q grids must be nonempty")
         if not (0.0 < self.q < 1.0):
@@ -88,10 +86,14 @@ class ExperimentConfig:
         if self.seed < 0:
             raise ValueError("seed must be a nonnegative integer")
 
+    # built once per config: every trial reads them
     @cached_property
     def mod(self) -> ModulationParams:
-        # built once per config: every trial reads it
         return ModulationParams.from_name(self.modulation)
+
+    @cached_property
+    def fading(self) -> FadingConfig:
+        return FadingConfig(self.normalized_doppler, self.num_sinusoids)
 
     def profile(self, power_db: float, q: float | None = None) -> PowerProfile:
         return PowerProfile.from_db(power_db, self.q if q is None else q,
@@ -122,10 +124,8 @@ def _run_trial(config: ExperimentConfig, profile: PowerProfile,
     n_uses = config.frames_per_trial * (config.frame_length + 1)
     ss = trial_seed_sequence(config.seed, point_index, trial_index)
     streams = [np.random.default_rng(child) for child in ss.spawn(7)]
-    fcfg = FadingConfig(normalized_doppler=config.normalized_doppler,
-                        num_sinusoids=config.num_sinusoids)
-    taps = [generate_fading(fcfg, n_uses, rng=streams[i]) for i in range(3)]
-    noise = [generate_awgn(streams[3 + i], n_uses, 1.0) for i in range(3)]
+    taps = [generate_fading(config.fading, n_uses, streams[i]) for i in range(3)]
+    noise = [generate_awgn(streams[3 + i], n_uses) for i in range(3)]
     v_idx = streams[6].integers(0, mod.order, config.frames_per_trial * config.frame_length)
     err_sc, err_mrc = chain_error_counts(
         v_idx, *taps, *noise, profile=profile, mod=mod,
@@ -276,6 +276,8 @@ def run_outage_curve(config: ExperimentConfig, gamma_th_db, mc_draws: int = 0):
     """
     if mc_draws < 0:
         raise ValueError("mc_draws must be >= 0")
+    if len(gamma_th_db) == 0:
+        raise ValueError("the threshold grid must be nonempty")
     rows = []
     g_lin = np.array([10.0 ** (g_db / 10.0) for g_db in gamma_th_db])
     for i, p_db in enumerate(config.power_db):

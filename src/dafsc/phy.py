@@ -86,8 +86,12 @@ class PowerProfile:
             object.__setattr__(
                 self, "amplification", math.sqrt(self.p1 / (self.p0 + 1.0))
             )
-        if not (self.amplification > 0.0):
-            raise ValueError("amplification must be > 0")
+        amp = self.amplification
+        # the closed forms use A^2 and 1/A^2, so both must be finite and > 0
+        if not (amp > 0.0 and 0.0 < amp * amp < math.inf
+                and 1.0 / (amp * amp) < math.inf):
+            raise ValueError(f"amplification must be > 0 with A*A and 1/(A*A) "
+                             f"positive finite floats, got {amp!r}")
 
     @property
     def p0(self) -> float:
@@ -245,46 +249,6 @@ def _detected_bits(d, order):
     return r < 0, r.imag < 0
 
 
-def _chain_counts(v_idx, h_sd, h_sr, h_rd, w_sd, w_sr, w_rd,
-                  sqrt_p0, amp, mrc_weight, order, frame_len):
-    n_frames = v_idx.size // frame_len
-    vi = v_idx.reshape(n_frames, frame_len)
-    shape = (n_frames, frame_len + 1)
-    s_idx = np.zeros(shape, dtype=np.int64)
-    np.cumsum(vi, axis=1, out=s_idx[:, 1:])
-    s_idx &= order - 1
-    s = (sqrt_p0 * _CONSTELLATION[order])[s_idx]
-
-    # y[0]: relay-destination branch, y[1]: direct branch
-    y = np.empty((2,) + shape, dtype=np.complex128)
-    y_sr = h_sr.reshape(shape) * s
-    y_sr += w_sr.reshape(shape)
-    np.multiply(h_rd.reshape(shape), amp, out=y[0])
-    y[0] *= y_sr
-    y[0] += w_rd.reshape(shape)
-    np.multiply(h_sd.reshape(shape), s, out=y[1])
-    y[1] += w_sd.reshape(shape)
-
-    # z[0], z[1]: relay and direct decision variables; z[1] then becomes the
-    # selection combiner and z[2] the semi-MRC, so z[1:] holds both outputs
-    z = np.empty((3, n_frames, frame_len), dtype=np.complex128)
-    np.conj(y[..., :-1], out=z[:2])
-    z[:2] *= y[..., 1:]
-    squares = np.square(z[:2].view(np.float64))
-    mag = squares[..., ::2] + squares[..., 1::2]  # re^2 + im^2
-    np.multiply(z[0], mrc_weight, out=z[2])
-    z[2] += 0.5 * z[1]
-    np.copyto(z[1], z[0], where=mag[0] > mag[1])  # ties keep the direct branch
-
-    err_sc = err_mrc = 0
-    for bits, sent in zip(_detected_bits(z[1:], order),
-                          _GRAY_BITS[order].take(vi, axis=1)):
-        wrong = bits != sent
-        err_sc += np.count_nonzero(wrong[0])
-        err_mrc += np.count_nonzero(wrong[1])
-    return err_sc, err_mrc
-
-
 def chain_error_counts(
     v_idx, h_sd, h_sr, h_rd, w_sd, w_sr, w_rd,
     profile: PowerProfile, mod: ModulationParams, frame_len: int,
@@ -298,19 +262,52 @@ def chain_error_counts(
     v_idx = np.ascontiguousarray(v_idx, dtype=np.int64)
     if v_idx.size % frame_len:
         raise ValueError("v_idx length must be a multiple of frame_len")
-    n_uses = (v_idx.size // frame_len) * (frame_len + 1)
-    arrays = []
-    for name, arr in (("h_sd", h_sd), ("h_sr", h_sr), ("h_rd", h_rd),
-                      ("w_sd", w_sd), ("w_sr", w_sr), ("w_rd", w_rd)):
+    n_frames = v_idx.size // frame_len
+    shape = (n_frames, frame_len + 1)
+    n_uses = n_frames * (frame_len + 1)
+    links = {"h_sd": h_sd, "h_sr": h_sr, "h_rd": h_rd,
+             "w_sd": w_sd, "w_sr": w_sr, "w_rd": w_rd}
+    for name, arr in links.items():
         arr = np.ascontiguousarray(arr, dtype=np.complex128)
         if arr.size != n_uses:
             raise ValueError(f"{name} must have {n_uses} samples")
-        arrays.append(arr)
+        links[name] = arr.reshape(shape)
+    h_sd, h_sr, h_rd, w_sd, w_sr, w_rd = links.values()
+    order = mod.order
     amp = profile.amplification
-    err_sc, err_mrc = _chain_counts(
-        v_idx, *arrays, math.sqrt(profile.p0), amp,
-        1.0 / (2.0 * (1.0 + amp**2)), mod.order, frame_len,
-    )
+    vi = v_idx.reshape(n_frames, frame_len)
+    s_idx = np.zeros(shape, dtype=np.int64)
+    np.cumsum(vi, axis=1, out=s_idx[:, 1:])
+    s_idx &= order - 1
+    s = (math.sqrt(profile.p0) * _CONSTELLATION[order])[s_idx]
+
+    # y[0]: relay-destination branch, y[1]: direct branch
+    y = np.empty((2,) + shape, dtype=np.complex128)
+    y_sr = h_sr * s
+    y_sr += w_sr
+    np.multiply(h_rd, amp, out=y[0])
+    y[0] *= y_sr
+    y[0] += w_rd
+    np.multiply(h_sd, s, out=y[1])
+    y[1] += w_sd
+
+    # z[0], z[1]: relay and direct decision variables; z[1] then becomes the
+    # selection combiner and z[2] the semi-MRC, so z[1:] holds both outputs
+    z = np.empty((3, n_frames, frame_len), dtype=np.complex128)
+    np.conj(y[..., :-1], out=z[:2])
+    z[:2] *= y[..., 1:]
+    squares = np.square(z[:2].view(np.float64))
+    mag = squares[..., ::2] + squares[..., 1::2]  # re^2 + im^2
+    np.multiply(z[0], 1.0 / (2.0 * (1.0 + amp**2)), out=z[2])
+    z[2] += 0.5 * z[1]
+    np.copyto(z[1], z[0], where=mag[0] > mag[1])  # ties keep the direct branch
+
+    err_sc = err_mrc = 0
+    for bits, sent in zip(_detected_bits(z[1:], order),
+                          _GRAY_BITS[order].take(vi, axis=1)):
+        wrong = bits != sent
+        err_sc += np.count_nonzero(wrong[0])
+        err_mrc += np.count_nonzero(wrong[1])
     return int(err_sc), int(err_mrc)
 
 

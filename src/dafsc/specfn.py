@@ -164,6 +164,12 @@ def _k1_scaled_trapezoid(x):
     return (2.0 * half_step) * acc
 
 
+def _k1_complement_large(x):
+    # x K1(x) < 1e-20 from x = 50 on: the clamp keeps 1.0 at x = inf
+    x = np.minimum(x, 50.0)
+    return 1.0 - x * bessel_k1_scaled(x) * np.exp(-x)
+
+
 def _evaluate(x, name, split, below, above):
     """Evaluate the 1-d array kernels ``below`` where x <= split and
     ``above`` elsewhere, skipping an empty side; ``x`` must be positive.
@@ -236,12 +242,11 @@ def bessel_k1_complement(x):
     tends to 1 (x -> 0).
 
     The ascending K1 series with its leading 1 removed up to x = 2,
-    1 - x e^(-x) (e^x K1(x)) above.  Keeps the shape of ``x``; a float
-    for a scalar.
+    1 - x e^(-x) (e^x K1(x)) above; 1.0, the limit, from x = 50 on, x = inf
+    included.  Keeps the shape of ``x``; a float for a scalar.
     """
     return _evaluate(x, "bessel_k1_complement", _K1_COMPLEMENT_SPLIT,
-                     _k1_complement_series,
-                     lambda v: 1.0 - v * bessel_k1_scaled(v) * np.exp(-v))
+                     _k1_complement_series, _k1_complement_large)
 
 
 def bessel_j0(x):

@@ -217,8 +217,8 @@ class TestCriterion7SpecialFunctions:
 
 class TestCriterion8FadingStatistics:
     def test_statistics_at_one_million_samples(self):
-        taps = generate_fading(
-            FadingConfig(normalized_doppler=0.001, seed=SEED), 1_000_000)
+        taps = generate_fading(FadingConfig(normalized_doppler=0.001), 1_000_000,
+                               rng=np.random.default_rng(SEED))
         var = float(np.mean(np.abs(taps) ** 2))
         var_ok = abs(var - 1.0) <= 0.02
 

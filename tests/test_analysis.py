@@ -263,6 +263,14 @@ class TestOutage:
                                  PowerProfile.from_db(power_db, 0.7))
         assert got == pytest.approx(self.HIGH_POWER_MPMATH[key], rel=1e-10)
 
+    def test_underflowing_relay_scale(self):
+        # A^2 p0 = 1e-300 * 7e-31 underflows to 0, so x = sqrt(4 g / (A^2 p0))
+        # is inf and 1 - x K1(x) takes its limit 1
+        prof = PowerProfile.from_db(-300.0, 0.7, 1e-150)
+        assert outage_probability(1.0, prof) == 1.0
+        np.testing.assert_array_equal(
+            outage_probability(np.array([0.0, 1.0]), prof), [0.0, 1.0])
+
     def test_nondecreasing_in_threshold(self):
         prof = PowerProfile.from_db(15.0, 0.7)
         g = np.linspace(0.0, 50.0, 101)

@@ -21,12 +21,13 @@ class TestFadingConfig:
 
     def test_length_check(self):
         with pytest.raises(ValueError):
-            generate_fading(FadingConfig(seed=0), 0)
+            generate_fading(FadingConfig(), 0, rng=np.random.default_rng(0))
 
 
 @pytest.fixture(scope="module")
 def slow_taps():
-    return generate_fading(FadingConfig(normalized_doppler=0.001, seed=101), 1_000_000)
+    return generate_fading(FadingConfig(normalized_doppler=0.001), 1_000_000,
+                           rng=np.random.default_rng(101))
 
 
 class TestFadingStatistics:
@@ -48,7 +49,8 @@ class TestFadingStatistics:
         assert step < 1e-4
 
     def test_zero_doppler_static(self):
-        taps = generate_fading(FadingConfig(normalized_doppler=0.0, seed=7), 5000)
+        taps = generate_fading(FadingConfig(normalized_doppler=0.0), 5000,
+                               rng=np.random.default_rng(7))
         assert np.max(np.abs(taps - taps[0])) == 0.0
 
     def test_ensemble_tap_statistics(self):
@@ -61,14 +63,14 @@ class TestFadingStatistics:
         assert np.mean(np.abs(first_taps) ** 2) == pytest.approx(1.0, abs=0.06)
 
     def test_determinism(self):
-        cfg = FadingConfig(normalized_doppler=0.001, seed=55)
-        a = generate_fading(cfg, 4096)
-        b = generate_fading(cfg, 4096)
+        cfg = FadingConfig(normalized_doppler=0.001)
+        a = generate_fading(cfg, 4096, rng=np.random.default_rng(55))
+        b = generate_fading(cfg, 4096, rng=np.random.default_rng(55))
         np.testing.assert_array_equal(a, b)
 
     def test_distinct_seeds_differ(self):
-        a = generate_fading(FadingConfig(seed=1), 1000)
-        b = generate_fading(FadingConfig(seed=2), 1000)
+        a = generate_fading(FadingConfig(), 1000, rng=np.random.default_rng(1))
+        b = generate_fading(FadingConfig(), 1000, rng=np.random.default_rng(2))
         assert np.max(np.abs(a - b)) > 0.1
 
     def test_cross_link_independence(self):
@@ -103,7 +105,8 @@ class TestSynthesisMatchesDirectSum:
 
     @staticmethod
     def _max_gap(doppler, length, seed):
-        taps = generate_fading(FadingConfig(normalized_doppler=doppler, seed=seed), length)
+        taps = generate_fading(FadingConfig(normalized_doppler=doppler), length,
+                               rng=np.random.default_rng(seed))
         angles = _draw_angles(16, np.random.default_rng(seed))
         ref = sos_taps_direct(length, 2.0 * np.pi * doppler, *angles)
         return float(np.max(np.abs(taps - ref)))
@@ -119,33 +122,28 @@ class TestSynthesisMatchesDirectSum:
 
 class TestAwgn:
     def test_moments(self):
-        z = generate_awgn(11, 1_000_000, variance=1.0)
+        z = generate_awgn(np.random.default_rng(11), 1_000_000)
         assert np.mean(np.abs(z) ** 2) == pytest.approx(1.0, abs=0.01)
         assert abs(np.mean(z)) < 0.01
 
     def test_circular_symmetry(self):
-        z = generate_awgn(12, 1_000_000, variance=1.0)
+        z = generate_awgn(np.random.default_rng(12), 1_000_000)
         corr = np.corrcoef(z.real, z.imag)[0, 1]
         assert abs(corr) < 0.01
         assert np.var(z.real) == pytest.approx(0.5, abs=0.01)
 
     def test_determinism(self):
-        np.testing.assert_array_equal(generate_awgn(42, 1000), generate_awgn(42, 1000))
+        np.testing.assert_array_equal(generate_awgn(np.random.default_rng(42), 1000),
+                                      generate_awgn(np.random.default_rng(42), 1000))
 
     def test_draw_layout(self):
         # the first `length` normals are the real parts, the next the
-        # imaginary parts, each scaled by sqrt(variance / 2)
+        # imaginary parts, each scaled by sqrt(1 / 2)
         z = np.random.default_rng(14).standard_normal((2, 257))
-        got = generate_awgn(14, 257, variance=3.0)
-        np.testing.assert_array_equal(got.real, math.sqrt(1.5) * z[0])
-        np.testing.assert_array_equal(got.imag, math.sqrt(1.5) * z[1])
-
-    def test_scales_with_variance(self):
-        z = generate_awgn(13, 500_000, variance=4.0)
-        assert np.mean(np.abs(z) ** 2) == pytest.approx(4.0, rel=0.02)
+        got = generate_awgn(np.random.default_rng(14), 257)
+        np.testing.assert_array_equal(got.real, math.sqrt(0.5) * z[0])
+        np.testing.assert_array_equal(got.imag, math.sqrt(0.5) * z[1])
 
     def test_argument_validation(self):
         with pytest.raises(ValueError):
-            generate_awgn(1, 0)
-        with pytest.raises(ValueError):
-            generate_awgn(1, 10, variance=0.0)
+            generate_awgn(np.random.default_rng(1), 0)

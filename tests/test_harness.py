@@ -434,6 +434,12 @@ class TestCli:
         # 10 ** (x / 10) overflows a float above about 3082.5 dB
         ["ber-curve", "--analytical-only", "--power-db", "4000"],
         ["outage", "--power-db", "10", "--gamma-db=4000"],
+        # A*A or 1/(A*A) is not a positive finite float
+        ["ber-curve", "--analytical-only", "--power-db", "20", "--amp", "1e-160"],
+        ["ber-curve", "--analytical-only", "--power-db", "20", "--amp", "inf"],
+        ["ber-curve", "--analytical-only", "--power-db", "20", "--amp", "1e155"],
+        ["outage", "--power-db", "20", "--gamma-db", "0", "--amp", "1e-300"],
+        ["outage", "--power-db", "10", "--gamma-db="],
     ])
     def test_invalid_value_exit_code(self, argv, capsys):
         assert cli.main(argv) == 1

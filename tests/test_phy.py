@@ -63,6 +63,10 @@ class TestPowerProfile:
             PowerProfile(total_power=1.0, q=0.5, amplification=-1.0)
         with pytest.raises(ValueError):
             PowerProfile(total_power=1.0, q=0.5, amplification=float("nan"))
+        # A*A or 1/(A*A) not a positive finite float
+        for amp in (1e-160, 1e-300, 1e155, float("inf")):
+            with pytest.raises(ValueError, match="amplification"):
+                PowerProfile(total_power=100.0, q=0.7, amplification=amp)
 
 
 class TestDifferentialEncoding:
@@ -259,7 +263,7 @@ def _trial_arrays(mod, profile, n_frames, frame_len, seed):
     n = n_frames * (frame_len + 1)
     cfg = FadingConfig(normalized_doppler=0.001)
     taps = [generate_fading(cfg, n, rng=streams[i]) for i in range(3)]
-    noise = [generate_awgn(streams[3 + i], n, 1.0) for i in range(3)]
+    noise = [generate_awgn(streams[3 + i], n) for i in range(3)]
     v_idx = streams[6].integers(0, mod.order, n_frames * frame_len)
     return v_idx, taps, noise
 
