@@ -1,26 +1,39 @@
-"""Per-call cost of each layer of one Monte Carlo trial.
+"""Per-call cost of each layer of a Monte Carlo trial and of the analytic engine.
 
 Usage:
 
-    python3 benchmarks/bench_layers.py --label NAME --out FILE [--src DIR]
+    python3 benchmarks/bench_layers.py --out FILE --label NAME [--src DIR]
+    python3 benchmarks/bench_layers.py --out FILE --label A --src DIR_A \\
+        --label B --src DIR_B
 
-Imports ``dafsc`` from DIR (default: ``src/`` of this checkout) and times the
-calls one trial makes at DQPSK, 30 dB, q = 0.7, 2 frames x 500 symbols
-(1,002 channel uses): seeding (SeedSequence, 7-way spawn, 7 Generators),
-one ``generate_fading``, one ``generate_awgn``, the symbol draw, one
-``chain_error_counts`` and one whole ``harness._run_trial``, the call
-``simulate_point`` makes per trial.  Each of 15 rounds times 200 calls of
-every layer in turn; the result is the median and quartiles over rounds, in
-microseconds per call.  It is stored under
-``runs[NAME]`` of the JSON file FILE (a ``BENCH_*.json``), keeping the other
-labels, so two source trees measured one after the other share one file.
+Imports ``dafsc`` from each DIR (default: ``src/`` of this checkout) in a
+fresh process and times, in microseconds per call:
+
+- the calls one trial makes at DQPSK, 30 dB, q = 0.7, 2 frames x 500
+  symbols (1,002 channel uses): seeding (SeedSequence, 7-way spawn,
+  7 Generators), one ``generate_fading``, one ``generate_awgn``, the symbol
+  draw, one ``chain_error_counts`` and one whole ``harness._run_trial``, the
+  call ``simulate_point`` makes per trial;
+- ``analytical_ber`` per modulation at the same point;
+- ``outage_probability`` over 10^4 thresholds from -10 to 30 dB;
+- ``write_outage_csv`` of the 51-power x 801-threshold grid of the
+  benchmark's ``analytic`` workload into a ``StringIO``.
+
+Each round times a fixed number of calls of every layer in turn.  Two trees
+are measured in the order A B B A, 8 rounds per slot, so a drift of the
+machine's speed that is linear over the run weighs on both alike; with one
+tree the slot runs alone.  A label's result is the median and quartiles over
+its rounds, stored under ``runs[NAME]`` of the JSON file FILE (a
+``BENCH_*.json``), keeping the other labels.
 """
 
 import argparse
+import io
 import itertools
 import json
 import os
 import platform
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -29,37 +42,50 @@ ROOT = Path(__file__).resolve().parent.parent
 USES = 1002
 SYMBOLS = 1000
 POWER_DB = 30.0
-ROUNDS = 15
+ROUNDS = 8
 CALLS = 200
+OUTAGE_THRESHOLDS = 10_000
+OUTAGE_POWERS_DB = [float(p) for p in range(51)]
+OUTAGE_GAMMA_DB = [-10.0 + 0.05 * i for i in range(801)]
 
 
 def layers():
-    """(name, zero-argument callable) for every timed layer."""
+    """(name, zero-argument callable, calls per round) for every layer."""
     import numpy as np
-    from dafsc import fading, harness, phy
+    from dafsc import analysis, fading, harness, phy
 
     config = harness.ExperimentConfig(modulation="dqpsk")
     profile = config.profile(POWER_DB)
     mod = phy.ModulationParams.dqpsk()
+    dbpsk = phy.ModulationParams.dbpsk()
     fcfg = fading.FadingConfig()
     rng = np.random.default_rng(1)
     taps = [fading.generate_fading(fcfg, USES, rng=rng) for _ in range(3)]
     noise = [fading.generate_awgn(rng, USES) for _ in range(3)]
     v_idx = rng.integers(0, mod.order, SYMBOLS)
     trial = itertools.count()
+    thresholds = 10.0 ** (np.linspace(-10.0, 30.0, OUTAGE_THRESHOLDS) / 10.0)
+    grid = harness.run_outage_curve(
+        harness.ExperimentConfig(power_db=tuple(OUTAGE_POWERS_DB), q=0.7),
+        OUTAGE_GAMMA_DB)
 
     def seeding():
         ss = harness.trial_seed_sequence(config.seed, 0, next(trial))
         return [np.random.default_rng(child) for child in ss.spawn(7)]
 
     return [
-        ("seeding", seeding),
-        ("fading", lambda: fading.generate_fading(fcfg, USES, rng=rng)),
-        ("awgn", lambda: fading.generate_awgn(rng, USES)),
-        ("symbols", lambda: rng.integers(0, mod.order, SYMBOLS)),
+        ("seeding", seeding, CALLS),
+        ("fading", lambda: fading.generate_fading(fcfg, USES, rng=rng), CALLS),
+        ("awgn", lambda: fading.generate_awgn(rng, USES), CALLS),
+        ("symbols", lambda: rng.integers(0, mod.order, SYMBOLS), CALLS),
         ("chain", lambda: phy.chain_error_counts(
-            v_idx, *taps, *noise, profile=profile, mod=mod, frame_len=SYMBOLS // 2)),
-        ("trial", lambda: harness._run_trial(config, profile, 0, next(trial))),
+            v_idx, *taps, *noise, profile=profile, mod=mod,
+            frame_len=SYMBOLS // 2), CALLS),
+        ("trial", lambda: harness._run_trial(config, profile, 0, next(trial)), CALLS),
+        ("ber_dbpsk", lambda: analysis.analytical_ber(dbpsk, profile), CALLS),
+        ("ber_dqpsk", lambda: analysis.analytical_ber(mod, profile), CALLS),
+        ("outage_vector", lambda: analysis.outage_probability(thresholds, profile), 20),
+        ("outage_csv", lambda: harness.write_outage_csv(io.StringIO(), grid), 2),
     ]
 
 
@@ -80,20 +106,26 @@ def cpu_model():
     return platform.processor() or platform.machine()
 
 
-def measure():
+def sample(src):
+    """Per-round microseconds per call of every layer, from ``src``."""
+    sys.path.insert(0, str(Path(src).resolve()))
+    timed = layers()
+    for _, fn, calls in timed:  # warm caches and lazy set-up
+        for _ in range(calls // 4 + 1):
+            fn()
+    samples = {name: [] for name, _, _ in timed}
+    for _ in range(ROUNDS):
+        for name, fn, calls in timed:
+            t0 = time.perf_counter()
+            for _ in range(calls):
+                fn()
+            samples[name].append(1e6 * (time.perf_counter() - t0) / calls)
+    return samples
+
+
+def summarize(samples, slots):
     import numpy as np
 
-    timed = layers()
-    for _, fn in timed:  # warm caches and lazy set-up
-        for _ in range(CALLS // 4 + 1):
-            fn()
-    samples = {name: [] for name, _ in timed}
-    for _ in range(ROUNDS):
-        for name, fn in timed:
-            t0 = time.perf_counter()
-            for _ in range(CALLS):
-                fn()
-            samples[name].append(1e6 * (time.perf_counter() - t0) / CALLS)
     us = {name: quartiles(v) for name, v in samples.items()}
     parts = (us["seeding"][1] + 3 * us["fading"][1] + 3 * us["awgn"][1]
              + us["symbols"][1] + us["chain"][1])
@@ -103,37 +135,62 @@ def measure():
         "sum_of_layers_us": parts,
         "fading_ns_per_tap": 1e3 * us["fading"][1] / USES,
         "trial_mbit_per_s": 2 * SYMBOLS / us["trial"][1],
+        "outage_ns_per_threshold": 1e3 * us["outage_vector"][1] / OUTAGE_THRESHOLDS,
+        "outage_csv_ns_per_row": 1e3 * us["outage_csv"][1]
+        / (len(OUTAGE_POWERS_DB) * len(OUTAGE_GAMMA_DB)),
         "machine": {
             "nproc": len(os.sched_getaffinity(0)),
             "cpu": cpu_model(),
             "python": platform.python_version(),
             "numpy": np.__version__,
         },
-        "rounds": ROUNDS,
-        "calls_per_round": CALLS,
+        "slots": slots,
+        "rounds": len(next(iter(samples.values()))),
     }
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--label", required=True)
-    parser.add_argument("--src", default=str(ROOT / "src"))
-    parser.add_argument("--out", required=True)
+    parser.add_argument("--label", action="append")
+    parser.add_argument("--src", action="append")
+    parser.add_argument("--out")
+    parser.add_argument("--sample", help=argparse.SUPPRESS)  # one slot's worker
     args = parser.parse_args(argv)
-    sys.path.insert(0, str(Path(args.src).resolve()))
-    result = measure()
+    if args.sample:
+        json.dump(sample(args.sample), sys.stdout)
+        return
+    srcs = args.src or [str(ROOT / "src")]
+    if len(srcs) != len(args.label or ()) or len(srcs) > 2 or not args.out:
+        parser.error("give --out and one or two --src trees, one --label each")
+    order = [0, 1, 1, 0] if len(srcs) == 2 else [0]
+
+    samples = [{} for _ in srcs]
+    for slot, i in enumerate(order):
+        proc = subprocess.run(
+            [sys.executable, __file__, "--sample", srcs[i]],
+            capture_output=True, text=True, check=True)
+        for name, values in json.loads(proc.stdout).items():
+            samples[i].setdefault(name, []).extend(values)
+        print(f"slot {slot}: {args.label[i]} done", file=sys.stderr)
 
     out = Path(args.out)
     doc = json.loads(out.read_text()) if out.exists() else {}
-    doc["workload"] = (f"one DQPSK trial at {POWER_DB:g} dB, q = 0.7: 2 frames x "
-                       f"{SYMBOLS // 2} symbols, {USES} channel uses per link")
-    doc.setdefault("runs", {})[args.label] = result
+    doc["workload"] = (
+        f"one DQPSK trial at {POWER_DB:g} dB, q = 0.7: 2 frames x {SYMBOLS // 2} "
+        f"symbols, {USES} channel uses per link; analytical_ber per modulation "
+        f"at the same point; outage_probability over {OUTAGE_THRESHOLDS} "
+        f"thresholds; write_outage_csv of {len(OUTAGE_POWERS_DB)} x "
+        f"{len(OUTAGE_GAMMA_DB)} rows into a StringIO")
+    runs = doc.setdefault("runs", {})
+    for i, label in enumerate(args.label):
+        runs[label] = result = summarize(
+            samples[i], [s for s, j in enumerate(order) if j == i])
+        for name, q in result["us_per_call"].items():
+            print(f"{label:>10} {name:>13}: {q['median']:10.1f} us "
+                  f"[{q['q1']:.1f}, {q['q3']:.1f}]")
+        print(f"{label:>10} trial {result['trial_mbit_per_s']:.3f} Mbit/s, "
+              f"sum of layers {result['sum_of_layers_us']:.1f} us")
     out.write_text(json.dumps(doc, indent=2) + "\n")
-    for name, q in result["us_per_call"].items():
-        print(f"{args.label:>10} {name:>8}: {q['median']:8.1f} us "
-              f"[{q['q1']:.1f}, {q['q3']:.1f}]")
-    print(f"{args.label:>10} trial {result['trial_mbit_per_s']:.3f} Mbit/s, "
-          f"sum of layers {result['sum_of_layers_us']:.1f} us")
 
 
 if __name__ == "__main__":

@@ -7,8 +7,9 @@ error integral, averaged in closed form over the exponential direct-branch
 SNR and the (conditionally exponential) relayed-branch SNR, leaving a
 single integral over the angle variable.  That integrand is periodic and
 analytic in the angle, so the periodic trapezoid rule
-(:func:`~dafsc.specfn.integrate_periodic`) converges geometrically; a
-DQPSK point takes 64 or 128 nodes.
+(:func:`~dafsc.specfn.integrate_periodic_sets`) converges geometrically; a
+DQPSK point takes 64 or 128 nodes.  The angular weights depend only on the
+modulation and the nodes, so they are tabulated once per node set.
 
 The relayed-branch average introduces exponential-integral terms; they are
 evaluated through the exponentially scaled E1, one array call per set of
@@ -17,12 +18,19 @@ high.  The outage closed form is evaluated over a whole threshold array in
 one K1 call.
 """
 
+import functools
 import math
 
 import numpy as np
 
 from .phy import ModulationParams, PowerProfile
-from .specfn import bessel_k1_complement, integrate_periodic, scaled_e1
+from .specfn import (
+    PERIODIC_NODE_SETS,
+    bessel_k1_complement,
+    integrate_periodic_sets,
+    periodic_nodes,
+    scaled_e1,
+)
 
 
 def angle_weights(theta, mod: ModulationParams):
@@ -66,23 +74,40 @@ def conditional_gamma_max_cdf(gamma, p0: float, c: float):
     return float(out) if out.ndim == 0 else out
 
 
-def _ber_integrand(theta, mod: ModulationParams, profile: PowerProfile):
-    weight, snr_scale = angle_weights(theta, mod)
-    p0 = profile.p0
+# s = c + 1 and t = c + 2 of the BER integrand as the rows of one array
+_S_T_OFFSETS = np.array([[1.0], [2.0]])
+
+
+@functools.lru_cache(maxsize=2 * PERIODIC_NODE_SETS)
+def _angle_table(mod: ModulationParams, k: int):
+    """:func:`angle_weights` on node set ``k`` of the periodic rule.
+
+    Built once per (modulation, node set) and read-only, since every
+    point of a curve integrates over the same nodes; the bound holds one
+    entry per node set for each of the two modulations.
+    """
+    table = angle_weights(periodic_nodes(k), mod)
+    for column in table:
+        column.flags.writeable = False
+    return table
+
+
+def _ber_integrand(weight, snr_scale, profile: PowerProfile):
+    """The BER integrand at angles with the given :func:`angle_weights`.
+
+    With c = p0 snr_scale, s = c + 1 and t = c + 2 it is
+    weight [2/(s t) + (c/A^2) (E1s(1/(A^2 s))/s^2 - E1s(1/(A^2 t))/t^2)],
+    E1s the scaled E1: the direct, relayed and joint averages of the
+    selection combiner with their rational parts summed exactly
+    (1/s + 1/s - 2/t = 2/(s t), as t = s + 1), so only the E1
+    difference is left to cancel at high power.
+    """
     a2 = profile.amplification**2
-    s = p0 * snr_scale + 1.0
-    t = p0 * snr_scale + 2.0
-
-    e1 = scaled_e1(1.0 / (a2 * np.concatenate((s, t))))
-    e1_s, e1_t = e1[: s.size], e1[s.size :]
-
-    term_direct = 1.0 / s
-    relay_gain = (1.0 - 1.0 / s) / a2
-    term_relay = (1.0 + relay_gain * e1_s) / s
-    joint_gain = (0.5 - 1.0 / t) / a2
-    term_joint = (2.0 / t) * (1.0 + joint_gain * e1_t)
-
-    return weight * (term_direct + term_relay - term_joint)
+    c = profile.p0 * snr_scale
+    st = c + _S_T_OFFSETS
+    s, t = st
+    e1 = scaled_e1(1.0 / (a2 * st)) / (st * st)
+    return weight * (2.0 / (s * t) + (c / a2) * (e1[0] - e1[1]))
 
 
 def analytical_ber(mod: ModulationParams, profile: PowerProfile) -> float:
@@ -96,7 +121,8 @@ def analytical_ber(mod: ModulationParams, profile: PowerProfile) -> float:
     BER p0^2 / ln(A^2 p0) tends to a constant: diversity order two times
     the logarithmic factor of the fixed-gain relay branch.
     """
-    value = integrate_periodic(lambda th: _ber_integrand(th, mod, profile))
+    value = integrate_periodic_sets(
+        lambda k: _ber_integrand(*_angle_table(mod, k), profile))
     return value / (4.0 * math.pi)
 
 
@@ -112,11 +138,11 @@ def ber_high_snr_approx(mod: ModulationParams, profile: PowerProfile) -> float:
     """
     p0 = profile.p0
 
-    def integrand(theta):
-        weight, snr_scale = angle_weights(theta, mod)
+    def integrand(k):
+        weight, snr_scale = _angle_table(mod, k)
         return weight * 2.0 / ((1.0 + snr_scale * p0) * (2.0 + snr_scale * p0))
 
-    return integrate_periodic(integrand) / (4.0 * math.pi)
+    return integrate_periodic_sets(integrand) / (4.0 * math.pi)
 
 
 def outage_probability(gamma_th, profile: PowerProfile):

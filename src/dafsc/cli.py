@@ -10,7 +10,6 @@ escalated by ``--strict`` or an analytical integral that did not converge.
 """
 
 import argparse
-import io
 import json
 import math
 import os
@@ -210,9 +209,7 @@ def main(argv=None) -> int:
         if args.command == "outage":
             rows = harness.run_outage_curve(
                 config, parse_grid(args.gamma_db), mc_draws=args.mc_draws)
-            buf = io.StringIO()
-            harness.write_outage_csv(buf, rows)
-            _emit(buf.getvalue(), args.out)
+            harness.write_outage_csv(args.out or sys.stdout, rows)
             return 0
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -8,6 +8,7 @@ independent processes, which is how the source-destination, source-relay
 and relay-destination links are kept spatially uncorrelated.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -33,12 +34,20 @@ class FadingConfig:
             raise ValueError("num_sinusoids must be >= 8")
 
 
+@functools.lru_cache(maxsize=8)
+def _alpha_offsets(num_sinusoids):
+    # 2 pi n - pi for n = 1..N, read-only; a config has one N
+    n = np.arange(1, num_sinusoids + 1, dtype=np.float64)
+    offsets = 2.0 * np.pi * n - np.pi
+    offsets.flags.writeable = False
+    return offsets
+
+
 def _draw_angles(num_sinusoids, rng):
     theta = rng.uniform(-np.pi, np.pi)
     phi = rng.uniform(-np.pi, np.pi, num_sinusoids)
     psi = rng.uniform(-np.pi, np.pi, num_sinusoids)
-    n = np.arange(1, num_sinusoids + 1, dtype=np.float64)
-    alpha = (2.0 * np.pi * n - np.pi + theta) / (4.0 * num_sinusoids)
+    alpha = (_alpha_offsets(num_sinusoids) + theta) / (4.0 * num_sinusoids)
     return np.cos(alpha), np.sin(alpha), phi, psi
 
 

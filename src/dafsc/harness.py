@@ -282,18 +282,18 @@ def run_outage_curve(config: ExperimentConfig, gamma_th_db, mc_draws: int = 0):
     g_lin = np.array([10.0 ** (g_db / 10.0) for g_db in gamma_th_db])
     for i, p_db in enumerate(config.power_db):
         profile = config.profile(p_db)
-        ana_grid = analysis.outage_probability(g_lin, profile)
-        for j, g_db in enumerate(gamma_th_db):
-            ana = float(ana_grid[j])
-            if mc_draws > 0:
+        ana_grid = analysis.outage_probability(g_lin, profile).tolist()
+        if mc_draws == 0:
+            rows += [OutagePoint(p_db, g_db, ana)
+                     for g_db, ana in zip(gamma_th_db, ana_grid)]
+        else:
+            for j, (g_db, ana) in enumerate(zip(gamma_th_db, ana_grid)):
                 rng = np.random.default_rng(
                     np.random.SeedSequence(entropy=(config.seed, 10_000 + i, j)))
                 draws = analysis.draw_combiner_snr(profile, mc_draws, rng)
                 mc = float(np.mean(draws <= g_lin[j]))
                 ci = 1.96 * math.sqrt(max(mc * (1.0 - mc), 0.0) / mc_draws)
                 rows.append(OutagePoint(p_db, g_db, ana, mc, ci, mc_draws))
-            else:
-                rows.append(OutagePoint(p_db, g_db, ana))
     return rows
 
 
@@ -365,18 +365,30 @@ def ber_csv_text(points) -> str:
 
 
 def write_outage_csv(path_or_file, rows) -> None:
+    """Write outage rows as CSV, one ``write`` per block of rows that share
+    a power.  Each power and each threshold value is formatted once; no
+    cell needs CSV quoting."""
+    thresholds = {}  # value -> its cell; not zero, as -0.0 == 0.0 prints -0.00
     with _opened(path_or_file, "w") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(OUTAGE_CSV_HEADER)
+        fh.write(",".join(OUTAGE_CSV_HEADER) + "\n")
+        block = []
+        power = None
         for r in rows:
-            writer.writerow([
-                f"{r.power_db:.2f}",
-                f"{r.gamma_th_db:.2f}",
-                _fmt_prob(r.analytical),
-                _fmt_prob(r.mc_estimate),
-                _fmt_prob(r.ci_halfwidth),
-                str(r.draws),
-            ])
+            if r.power_db is not power:
+                fh.write("".join(block))
+                block.clear()
+                power = r.power_db
+                power_cell = f"{power:.2f}"
+            g = r.gamma_th_db
+            g_cell = thresholds.get(g)
+            if g_cell is None:
+                g_cell = f"{g:.2f}"
+                if g:
+                    thresholds[g] = g_cell
+            block.append(f"{power_cell},{g_cell},{_fmt_prob(r.analytical)},"
+                         f"{_fmt_prob(r.mc_estimate)},{_fmt_prob(r.ci_halfwidth)},"
+                         f"{r.draws}\n")
+        fh.write("".join(block))
 
 
 __all__ = [

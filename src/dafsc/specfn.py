@@ -12,6 +12,7 @@ branches, an empty branch skipped), keeps the shape of the input, and
 returns a float for a scalar argument.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -176,7 +177,7 @@ def _evaluate(x, name, split, below, above):
     Keeps the shape of ``x`` and returns a float for a scalar."""
     arr = np.asarray(x, dtype=np.float64)
     flat = arr.reshape(-1)
-    if flat.size and np.min(flat) <= 0.0:
+    if flat.size and flat.min() <= 0.0:
         raise ValueError(f"{name} requires strictly positive arguments")
     low = flat <= split
     if not flat.size:
@@ -261,19 +262,47 @@ def bessel_j0(x):
     return float(out) if arr.ndim == 0 else out
 
 
-# First and largest node counts of the periodic trapezoid rule.
+# First and largest node counts of the periodic trapezoid rule, and the
+# number of node sets it evaluates: the first two rules' 64 nodes, then one
+# set per further doubling.
 _PERIODIC_START_NODES = 32
 _PERIODIC_MAX_NODES = 1 << 16
+PERIODIC_NODE_SETS = (_PERIODIC_MAX_NODES // (2 * _PERIODIC_START_NODES)).bit_length()
+
+
+@functools.lru_cache(maxsize=PERIODIC_NODE_SETS)
+def periodic_nodes(k: int) -> np.ndarray:
+    """Node set ``k`` of :func:`integrate_periodic`, read-only.
+
+    Set 0 holds the 64 nodes of the first two rules: the 32 nodes
+    -pi + 2 pi j / 32 of the first, then the 32 midpoints the first
+    doubling adds (the rule always compares these two, so one call
+    evaluates both).  Set k >= 1 holds the n = 64 * 2^(k-1) midpoints
+    -pi + 2 pi (j + 1/2) / n that the next doubling adds.  Built once per
+    set.
+    """
+    if not 0 <= k < PERIODIC_NODE_SETS:
+        raise ValueError(f"node set must lie in [0, {PERIODIC_NODE_SETS})")
+    n = _PERIODIC_START_NODES << k
+    offsets = np.arange(n, dtype=np.float64) + 0.5
+    if k == 0:
+        offsets = np.concatenate((offsets - 0.5, offsets))
+    nodes = -math.pi + (2.0 * math.pi / n) * offsets
+    nodes.flags.writeable = False
+    return nodes
 
 
 def integrate_periodic(f, spec: QuadratureSpec | None = None) -> float:
     """Integrate a 2pi-periodic ``f`` over [-pi, pi) by the trapezoid rule.
 
-    ``f`` must be vectorized.  For a periodic integrand analytic in a strip
+    ``f`` must be vectorized; it is called with the read-only node arrays
+    of :func:`periodic_nodes`.  For a periodic integrand analytic in a strip
     around the real axis the rule converges geometrically (Trefethen and
-    Weideman, SIAM Review 56(3), 2014).  Nodes are nested: each doubling
-    evaluates ``f`` only at the new midpoints, and the error estimate is the
-    difference from the rule on the previous (half) node set.  Nodes double,
+    Weideman, SIAM Review 56(3), 2014).  Nodes are nested: the first call
+    evaluates ``f`` on the 32-node rule and the midpoints of its first
+    doubling, each later call only at the new midpoints, and the error
+    estimate is the difference from the rule on the previous (half) node
+    set.  Nodes double,
     from 32, until the estimate meets the tolerances in ``spec``; each
     doubling counts against ``spec.max_subdivisions``, and the node count
     never exceeds 65,536.  Two rules agree falsely on Fourier content they
@@ -283,17 +312,27 @@ def integrate_periodic(f, spec: QuadratureSpec | None = None) -> float:
     Raises :class:`QuadratureConvergenceError` (carrying the best
     estimate and its error bound) if the budget is exhausted first.
     """
+    return integrate_periodic_sets(lambda k: f(periodic_nodes(k)), spec)
+
+
+def integrate_periodic_sets(values, spec: QuadratureSpec | None = None) -> float:
+    """:func:`integrate_periodic` for an integrand given per node set.
+
+    ``values(k)`` returns the integrand on ``periodic_nodes(k)``, so a
+    caller can tabulate what depends only on the nodes once per set.
+    """
     if spec is None:
         spec = QuadratureSpec()
     n = _PERIODIC_START_NODES
     step = 2.0 * math.pi / n
-    total = float(np.sum(f(-math.pi + step * np.arange(n))))
+    first = values(0)
+    total = float(np.sum(first[:n]))
     estimate = step * total
     error = math.inf
-    for _ in range(spec.max_subdivisions):
+    for k in range(spec.max_subdivisions):
         if n >= _PERIODIC_MAX_NODES:
             break
-        total += float(np.sum(f(-math.pi + step * (np.arange(n) + 0.5))))
+        total += float(np.sum(first[n:] if k == 0 else values(k)))
         n *= 2
         step *= 0.5
         previous, estimate = estimate, step * total
@@ -303,15 +342,19 @@ def integrate_periodic(f, spec: QuadratureSpec | None = None) -> float:
     raise QuadratureConvergenceError(estimate, error)
 
 
-_GL_LO_NODES, _GL_LO_WEIGHTS = np.polynomial.legendre.leggauss(10)
-_GL_HI_NODES, _GL_HI_WEIGHTS = np.polynomial.legendre.leggauss(21)
+@functools.cache
+def _gauss_legendre():
+    # built on first use: numpy.polynomial costs ~2 ms of the package import,
+    # and only integrate_theta needs it
+    return np.polynomial.legendre.leggauss(10), np.polynomial.legendre.leggauss(21)
 
 
 def _panel(f, a, b):
+    (lo_nodes, lo_weights), (hi_nodes, hi_weights) = _gauss_legendre()
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
-    coarse = half * float(np.dot(_GL_LO_WEIGHTS, f(mid + half * _GL_LO_NODES)))
-    fine = half * float(np.dot(_GL_HI_WEIGHTS, f(mid + half * _GL_HI_NODES)))
+    coarse = half * float(np.dot(lo_weights, f(mid + half * lo_nodes)))
+    fine = half * float(np.dot(hi_weights, f(mid + half * hi_nodes)))
     return fine, abs(fine - coarse)
 
 
@@ -364,6 +407,9 @@ __all__ = [
     "bessel_k1_scaled",
     "bessel_k1_complement",
     "bessel_j0",
+    "PERIODIC_NODE_SETS",
+    "periodic_nodes",
     "integrate_periodic",
+    "integrate_periodic_sets",
     "integrate_theta",
 ]

@@ -1,6 +1,11 @@
 """Closed-form BER and outage expressions against independent oracles."""
 
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +21,8 @@ from dafsc.analysis import (
     relay_branch_mean_snr,
 )
 from dafsc.phy import ModulationParams, PowerProfile
-from dafsc.specfn import integrate_theta, scaled_e1
+from dafsc.harness import ExperimentConfig, run_power_allocation_sweep
+from dafsc.specfn import PERIODIC_NODE_SETS, integrate_theta, periodic_nodes, scaled_e1
 from dafsc.validate import oracle_ber_2d, outage_quadrature
 
 DBPSK = ModulationParams.dbpsk()
@@ -110,6 +116,101 @@ class TestIntegrandTermStructure:
                 assert np.all(d_arg > 0.0) and np.all(d_arg < d_gain)
 
 
+
+def _three_term_integrand(theta, mod, profile):
+    """The BER integrand as the sum of the direct, relayed and joint
+    averages of the selection combiner, each formed on its own (the form
+    the collapsed integrand replaced).  Returns the sum and the sum of the
+    terms' magnitudes, the scale of the sum's rounding error."""
+    weight, snr_scale = angle_weights(theta, mod)
+    a2 = profile.amplification**2
+    s = profile.p0 * snr_scale + 1.0
+    t = profile.p0 * snr_scale + 2.0
+    term_direct = 1.0 / s
+    term_relay = (1.0 + ((1.0 - 1.0 / s) / a2) * scaled_e1(1.0 / (a2 * s))) / s
+    term_joint = (2.0 / t) * (1.0 + ((0.5 - 1.0 / t) / a2) * scaled_e1(1.0 / (a2 * t)))
+    return (weight * (term_direct + term_relay - term_joint),
+            weight * (term_direct + term_relay + term_joint))
+
+
+class TestCollapsedIntegrand:
+    GRID = [(mod, p_db, q) for mod in (DBPSK, DQPSK)
+            for p_db in range(0, 51, 5)
+            for q in (0.01, 0.3, 0.7, 0.99)]
+
+    def test_matches_three_term_sum(self):
+        # the three-term sum cancels down to ~1/t of its terms at high power,
+        # so the two forms are compared on the scale of those terms: any
+        # algebra slip in a term would show far above a few ulp there
+        theta = np.concatenate([periodic_nodes(k) for k in range(4)])
+        for mod, p_db, q in self.GRID:
+            prof = PowerProfile.from_db(float(p_db), q)
+            want, scale = _three_term_integrand(theta, mod, prof)
+            got = analysis._ber_integrand(*angle_weights(theta, mod), prof)
+            assert np.all(np.abs(got - want) <= 1e-15 * scale), (mod, p_db, q)
+
+    def test_rational_part_alone_at_huge_relay_gain(self):
+        # (c/A^2) E1s(1/(A^2 s)) ~ c ln(A^2 s) / A^2 vanishes as A grows,
+        # leaving the rational part 2/(s t), formed without cancellation
+        theta = periodic_nodes(0)
+        prof = PowerProfile.from_db(40.0, 0.7, 1e150)
+        weight, snr_scale = angle_weights(theta, DQPSK)
+        c = prof.p0 * snr_scale
+        want = weight * (2.0 / ((c + 1.0) * (c + 2.0)))
+        assert np.array_equal(analysis._ber_integrand(weight, snr_scale, prof), want)
+
+
+class TestAngleTables:
+    POINTS = [(p_db, q) for p_db in (0.0, 20.0, 45.0) for q in (0.1, 0.7)]
+    FRESH = (
+        "import json, sys\n"
+        "from dafsc.analysis import analytical_ber, ber_high_snr_approx\n"
+        "from dafsc.phy import ModulationParams, PowerProfile\n"
+        "mod = ModulationParams.from_name(sys.argv[1])\n"
+        "points = json.loads(sys.argv[2])\n"
+        "print(json.dumps([[f(mod, PowerProfile.from_db(p, q)).hex()\n"
+        "                   for f in (analytical_ber, ber_high_snr_approx)]\n"
+        "                  for p, q in points]))\n"
+    )
+
+    def test_interleaved_modulations_match_fresh_process(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        fresh = {}
+        for name in ("dbpsk", "dqpsk"):
+            result = subprocess.run(
+                [sys.executable, "-c", self.FRESH, name, json.dumps(self.POINTS)],
+                capture_output=True, text=True, check=True,
+                env={**os.environ, "PYTHONPATH": str(src)})
+            fresh[name] = json.loads(result.stdout)
+        for order in (("dbpsk", "dqpsk"), ("dqpsk", "dbpsk")):
+            analysis._angle_table.cache_clear()
+            got = {name: [] for name in order}
+            for p_db, q in self.POINTS:
+                prof = PowerProfile.from_db(p_db, q)
+                for name in order:
+                    mod = ModulationParams.from_name(name)
+                    got[name].append([analytical_ber(mod, prof).hex(),
+                                      ber_high_snr_approx(mod, prof).hex()])
+            assert got == fresh, order
+
+    def test_bounded_and_read_only_after_sweep(self):
+        analysis._angle_table.cache_clear()
+        for name in ("dqpsk", "dbpsk"):
+            run_power_allocation_sweep(ExperimentConfig(modulation=name))
+            info = analysis._angle_table.cache_info()
+            assert info.currsize <= info.maxsize == 2 * PERIODIC_NODE_SETS
+        assert info.hits > info.misses
+        for mod in (DBPSK, DQPSK):
+            for k in range(2):
+                table = analysis._angle_table(mod, k)
+                assert table is analysis._angle_table(mod, k)
+                for column in table:
+                    assert not column.flags.writeable
+                    with pytest.raises(ValueError):
+                        column[0] = 0.0
+                want = angle_weights(periodic_nodes(k), mod)
+                assert all(np.array_equal(a, b) for a, b in zip(table, want))
+
 class TestAnalyticalBer:
     def test_dbpsk_integral_matches_collapsed_form(self):
         prof = PowerProfile.from_db(20.0, 0.7)
@@ -169,7 +270,7 @@ class TestPeriodicRuleMatchesAdaptive:
         for mod, p_db, q in self.GRID:
             prof = PowerProfile.from_db(p_db, q)
             want = integrate_theta(
-                lambda th: analysis._ber_integrand(th, mod, prof)) / (4.0 * math.pi)
+                lambda th: analysis._ber_integrand(*angle_weights(th, mod), prof)) / (4.0 * math.pi)
             worst = max(worst, abs(analytical_ber(mod, prof) - want) / want)
         assert worst <= 1e-10
 

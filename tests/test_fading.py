@@ -120,6 +120,26 @@ class TestSynthesisMatchesDirectSum:
         assert self._max_gap(0.001, 1_000_000, seed=4) <= 1e-11
 
 
+
+class TestDrawAngles:
+    @pytest.mark.parametrize("n", [8, 16, 33])
+    def test_matches_direct_expression(self, n):
+        # the alpha offsets are tabulated per N; the angles stay bitwise
+        # those of the expression evaluated in full on every call
+        rng = np.random.default_rng(n)
+        for _ in range(2):
+            state = rng.bit_generator.state
+            got = _draw_angles(n, rng)
+            ref = np.random.default_rng()
+            ref.bit_generator.state = state
+            theta = ref.uniform(-np.pi, np.pi)
+            phi = ref.uniform(-np.pi, np.pi, n)
+            psi = ref.uniform(-np.pi, np.pi, n)
+            k = np.arange(1, n + 1, dtype=np.float64)
+            alpha = (2.0 * np.pi * k - np.pi + theta) / (4.0 * n)
+            for a, b in zip(got, (np.cos(alpha), np.sin(alpha), phi, psi)):
+                assert np.array_equal(a, b)
+
 class TestAwgn:
     def test_moments(self):
         z = generate_awgn(np.random.default_rng(11), 1_000_000)

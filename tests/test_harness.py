@@ -53,6 +53,58 @@ GOLDEN_CSV = {
 }
 
 
+# Outage CSVs frozen from the row-by-row csv.writer output: one grid with
+# blank Monte Carlo cells (and a -0.0 threshold beside 0.0), one with
+# Monte Carlo cells (and a -0.0 power).  The writer may change, these
+# bytes may not.
+GOLDEN_OUTAGE_CSV = {
+    "closed_form": (
+        dict(power_db=(0.0, 12.5, 30.0), q=0.7, seed=5),
+        (-10.0, -2.5, -0.0, 0.0, 0.05, 3.0, 7.5, 12.345, 30.0),
+        0,
+        "power_db,gamma_th_db,analytical,mc,ci_mc,draws\n"
+        "0.00,-10.00,9.51714e-02,,,0\n"
+        "0.00,-2.50,5.42455e-01,,,0\n"
+        "0.00,-0.00,7.58393e-01,,,0\n"
+        "0.00,0.00,7.58393e-01,,,0\n"
+        "0.00,0.05,7.62405e-01,,,0\n"
+        "0.00,3.00,9.42112e-01,,,0\n"
+        "0.00,7.50,9.99676e-01,,,0\n"
+        "0.00,12.35,1.00000e+00,,,0\n"
+        "0.00,30.00,1.00000e+00,,,0\n"
+        "12.50,-10.00,6.74560e-04,,,0\n"
+        "12.50,-2.50,1.26401e-02,,,0\n"
+        "12.50,-0.00,3.12555e-02,,,0\n"
+        "12.50,0.00,3.12555e-02,,,0\n"
+        "12.50,0.05,3.18098e-02,,,0\n"
+        "12.50,3.00,8.56769e-02,,,0\n"
+        "12.50,7.50,3.05508e-01,,,0\n"
+        "12.50,12.35,7.36050e-01,,,0\n"
+        "12.50,30.00,1.00000e+00,,,0\n"
+        "30.00,-10.00,3.94767e-07,,,0\n"
+        "30.00,-2.50,9.87883e-06,,,0\n"
+        "30.00,-0.00,2.84937e-05,,,0\n"
+        "30.00,0.00,2.84937e-05,,,0\n"
+        "30.00,0.05,2.91012e-05,,,0\n"
+        "30.00,3.00,1.00320e-04,,,0\n"
+        "30.00,7.50,6.40792e-04,,,0\n"
+        "30.00,12.35,4.41287e-03,,,0\n"
+        "30.00,30.00,7.47971e-01,,,0\n"
+    ),
+    "monte_carlo": (
+        dict(power_db=(-0.0, 15.0), q=0.7, seed=6),
+        (-30.0, 0.0, 5.0),
+        2000,
+        "power_db,gamma_th_db,analytical,mc,ci_mc,draws\n"
+        "-0.00,-30.00,5.61256e-05,0.00000e+00,0.00000e+00,2000\n"
+        "-0.00,0.00,7.58393e-01,7.57000e-01,1.87972e-02,2000\n"
+        "-0.00,5.00,9.89082e-01,9.87500e-01,4.86928e-03,2000\n"
+        "15.00,-30.00,4.66300e-08,0.00000e+00,0.00000e+00,2000\n"
+        "15.00,0.00,1.24230e-02,1.25000e-02,4.86928e-03,2000\n"
+        "15.00,5.00,7.20746e-02,8.40000e-02,1.21571e-02,2000\n"
+    ),
+}
+
 class TestExperimentConfig:
     def test_defaults_valid(self):
         cfg = ExperimentConfig()
@@ -272,6 +324,30 @@ class TestCsv:
         path = tmp_path / "curve.csv"
         write_ber_csv(path, points)
         assert read_ber_csv(path) == read_ber_csv(io.StringIO(path.read_text()))
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_OUTAGE_CSV))
+    def test_outage_csv_bytes(self, name, tmp_path):
+        kwargs, gamma_db, mc_draws, want = GOLDEN_OUTAGE_CSV[name]
+        rows = run_outage_curve(ExperimentConfig(**kwargs), gamma_db, mc_draws=mc_draws)
+        buf = io.StringIO()
+        write_outage_csv(buf, rows)
+        assert buf.getvalue() == want
+        path = tmp_path / "outage.csv"
+        write_outage_csv(path, rows)
+        assert path.read_bytes() == want.encode()
+
+    def test_outage_csv_rows_in_any_order(self):
+        # one block per run of equal powers; a threshold's cell is reused
+        # across blocks, never across the two signed zeros
+        rows = [harness.OutagePoint(p, g, 0.25)
+                for p, g in [(1.0, 0.0), (2.0, -0.0), (1.0, 0.0), (1.0, -0.0),
+                             (2.0, 0.0), (2.0, 1.005)]]
+        buf = io.StringIO()
+        write_outage_csv(buf, rows)
+        body = buf.getvalue().splitlines()[1:]
+        assert [ln.rsplit(",", 4)[0] for ln in body] == [
+            "1.00,0.00", "2.00,-0.00", "1.00,0.00", "1.00,-0.00", "2.00,0.00",
+            f"2.00,{1.005:.2f}"]
 
     def test_outage_csv_schema(self, tmp_path):
         cfg = ExperimentConfig(power_db=(10.0,), seed=5)
@@ -511,6 +587,17 @@ class TestCli:
         assert code == 0
         lines = out.read_text().splitlines()
         assert len(lines) == 3
+
+    def test_outage_out_matches_stdout(self, tmp_path, capsys):
+        argv = ["outage", "--power-db", "0:10:5", "--gamma-db=-5:5:2.5",
+                "--mc-draws", "500", "--seed", "4"]
+        assert cli.main(argv) == 0
+        printed = capsys.readouterr().out
+        out = tmp_path / "o.csv"
+        assert cli.main(argv + ["--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert out.read_bytes() == printed.encode()
+        assert len(printed.splitlines()) == 1 + 3 * 5
 
     def test_validate_json_report(self, tmp_path, capsys):
         out = tmp_path / "report.json"

@@ -8,6 +8,7 @@ import pytest
 from dafsc import _reference_tables as tables
 from dafsc import specfn
 from dafsc.specfn import (
+    PERIODIC_NODE_SETS,
     QuadratureConvergenceError,
     QuadratureSpec,
     bessel_j0,
@@ -16,7 +17,9 @@ from dafsc.specfn import (
     bessel_k1_scaled,
     exp_integral_e1,
     integrate_periodic,
+    integrate_periodic_sets,
     integrate_theta,
+    periodic_nodes,
     scaled_e1,
 )
 
@@ -333,6 +336,54 @@ class TestIntegratePeriodic:
         assert nodes.size == 128
         np.testing.assert_allclose(
             nodes, -math.pi + 2.0 * math.pi * np.arange(128) / 128, atol=1e-14)
+
+    def test_node_sets_are_the_nested_rule(self):
+        # set 0: the 32-node rule and its 32 midpoints; then the midpoints
+        # each further doubling adds
+        n, step = 32, 2.0 * math.pi / 32
+        rules = [-math.pi + step * np.arange(n)]
+        while n < 1 << 16:
+            rules.append(-math.pi + step * (np.arange(n) + 0.5))
+            n *= 2
+            step *= 0.5
+        assert np.array_equal(periodic_nodes(0), np.concatenate(rules[:2]))
+        for k in range(1, PERIODIC_NODE_SETS):
+            assert np.array_equal(periodic_nodes(k), rules[k + 1])
+        assert len(rules) == PERIODIC_NODE_SETS + 1
+        for k in (0, PERIODIC_NODE_SETS - 1):
+            assert periodic_nodes(k) is periodic_nodes(k)
+            assert not periodic_nodes(k).flags.writeable
+        for k in (-1, PERIODIC_NODE_SETS):
+            with pytest.raises(ValueError):
+                periodic_nodes(k)
+
+    @staticmethod
+    def _one_set_per_call(f, spec=QuadratureSpec()):
+        # the rule building its nodes on every call and evaluating one node
+        # set per call, as before node sets were tabulated
+        n = 32
+        step = 2.0 * math.pi / n
+        total = float(np.sum(f(-math.pi + step * np.arange(n))))
+        estimate = step * total
+        for _ in range(spec.max_subdivisions):
+            total += float(np.sum(f(-math.pi + step * (np.arange(n) + 0.5))))
+            n *= 2
+            step *= 0.5
+            previous, estimate = estimate, step * total
+            if abs(estimate - previous) <= max(spec.absolute_tolerance,
+                                               spec.relative_tolerance * abs(estimate)):
+                return estimate
+        raise AssertionError("reference rule did not converge")
+
+    @pytest.mark.parametrize("f", [
+        lambda th: 1.0 / (1.25 + np.sin(th)),
+        lambda th: np.exp(np.cos(3.0 * th)) / (1.3 + np.sin(th)),
+        lambda th: 1.0 / (1.01 + np.sin(th)),
+    ])
+    def test_bitwise_equal_to_one_set_per_call(self, f):
+        want = self._one_set_per_call(f)
+        assert integrate_periodic(f) == want
+        assert integrate_periodic_sets(lambda k: f(periodic_nodes(k))) == want
 
     def test_convergence_error_carries_estimate(self):
         spec = QuadratureSpec(max_subdivisions=1)
