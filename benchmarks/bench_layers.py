@@ -10,10 +10,13 @@ Imports ``dafsc`` from each DIR (default: ``src/`` of this checkout) in a
 fresh process and times, in microseconds per call:
 
 - the calls one trial makes at DQPSK, 30 dB, q = 0.7, 2 frames x 500
-  symbols (1,002 channel uses): seeding (SeedSequence, 7-way spawn,
-  7 Generators), one ``generate_fading``, one ``generate_awgn``, the symbol
-  draw, one ``chain_error_counts`` and one whole ``harness._run_trial``, the
-  call ``simulate_point`` makes per trial;
+  symbols (1,002 channel uses): seeding (the tree's own: the SeedSequence
+  and its 7 streams built by ``harness._trial_streams``, or, in a tree
+  without that helper, a 7-way spawn and 7 ``default_rng`` calls), one
+  ``generate_fading``, one ``generate_awgn``, the symbol draw, one
+  ``chain_error_counts`` and one whole ``harness._run_trial``, the call
+  ``simulate_point`` makes per trial;
+- one ``simulate_point`` at the same point with the default stop rule;
 - ``analytical_ber`` per modulation at the same point;
 - ``outage_probability`` over 10^4 thresholds from -10 to 30 dB;
 - ``write_outage_csv`` of the 51-power x 801-threshold grid of the
@@ -71,6 +74,8 @@ def layers():
 
     def seeding():
         ss = harness.trial_seed_sequence(config.seed, 0, next(trial))
+        if hasattr(harness, "_trial_streams"):
+            return harness._trial_streams(ss)
         return [np.random.default_rng(child) for child in ss.spawn(7)]
 
     return [
@@ -82,6 +87,7 @@ def layers():
             v_idx, *taps, *noise, profile=profile, mod=mod,
             frame_len=SYMBOLS // 2), CALLS),
         ("trial", lambda: harness._run_trial(config, profile, 0, next(trial)), CALLS),
+        ("simulate_point", lambda: harness.simulate_point(config, profile, 0), 1),
         ("ber_dbpsk", lambda: analysis.analytical_ber(dbpsk, profile), CALLS),
         ("ber_dqpsk", lambda: analysis.analytical_ber(mod, profile), CALLS),
         ("outage_vector", lambda: analysis.outage_probability(thresholds, profile), 20),
@@ -177,7 +183,8 @@ def main(argv=None):
     doc = json.loads(out.read_text()) if out.exists() else {}
     doc["workload"] = (
         f"one DQPSK trial at {POWER_DB:g} dB, q = 0.7: 2 frames x {SYMBOLS // 2} "
-        f"symbols, {USES} channel uses per link; analytical_ber per modulation "
+        f"symbols, {USES} channel uses per link; simulate_point at that point, "
+        f"default stop rule (1,696 trials); analytical_ber per modulation "
         f"at the same point; outage_probability over {OUTAGE_THRESHOLDS} "
         f"thresholds; write_outage_csv of {len(OUTAGE_POWERS_DB)} x "
         f"{len(OUTAGE_GAMMA_DB)} rows into a StringIO")

@@ -44,9 +44,12 @@ def _alpha_offsets(num_sinusoids):
 
 
 def _draw_angles(num_sinusoids, rng):
-    theta = rng.uniform(-np.pi, np.pi)
-    phi = rng.uniform(-np.pi, np.pi, num_sinusoids)
-    psi = rng.uniform(-np.pi, np.pi, num_sinusoids)
+    # theta, then the N phases phi, then the N phases psi: one draw gives
+    # the values and stream position of three consecutive ones
+    u = rng.uniform(-np.pi, np.pi, 2 * num_sinusoids + 1)
+    theta = u[0]
+    phi = u[1:num_sinusoids + 1]
+    psi = u[num_sinusoids + 1:]
     alpha = (_alpha_offsets(num_sinusoids) + theta) / (4.0 * num_sinusoids)
     return np.cos(alpha), np.sin(alpha), phi, psi
 

@@ -5,6 +5,8 @@ import json
 import os
 import subprocess
 import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -229,6 +231,75 @@ class TestTrialStreams:
         got = [harness._run_trial(cfg, profile, 0, t) for t in range(64)]
         want = [(*self.PINNED[key].get(t, (0, 0)), bits) for t in range(64)]
         assert got == want
+
+
+class TestTrialOrderIndependence:
+    """A trial's result must not depend on which trials ran before it, on
+    its thread or another: no RNG state may pass from one trial to the
+    next.  One odd-length frame leaves a half-used 32-bit word in the
+    symbol stream after every trial."""
+
+    CFG = ExperimentConfig(modulation="dqpsk", frames_per_trial=1, frame_length=51,
+                           seed=99)
+    PROFILE = CFG.profile(8.0)
+    KEYS = [(point, trial) for point in (0, 3) for trial in range(12)]
+
+    def run(self, keys):
+        return {k: harness._run_trial(self.CFG, self.PROFILE, *k) for k in keys}
+
+    def test_shuffled_and_interleaved_match_in_order(self):
+        in_order = self.run(self.KEYS)
+        assert len({v[:2] for v in in_order.values()}) > 12  # trials differ
+        shuffled = list(self.KEYS)
+        np.random.default_rng(5).shuffle(shuffled)
+        interleaved = [k for pair in zip(self.KEYS[:12], self.KEYS[12:]) for k in pair]
+        assert self.run(shuffled) == in_order
+        assert self.run(interleaved) == in_order
+
+    def test_two_threads_at_once(self):
+        in_order = self.run(self.KEYS)
+        barrier = threading.Barrier(2)
+
+        def work(keys):
+            barrier.wait(timeout=60)
+            return [self.run(keys) for _ in range(3)]
+
+        with ThreadPoolExecutor(2) as pool:
+            halves = pool.map(work, (self.KEYS[::2], self.KEYS[1::2][::-1]))
+            for runs in halves:
+                for got in runs:
+                    assert got == {k: in_order[k] for k in got}
+
+
+class TestPerTrialCallPattern:
+    """``perfbench`` reconciles a traced run from these calls: per trial one
+    ``trial_seed_sequence(seed, point, trial)``, positional, which opens the
+    trial's span, then 3 ``generate_fading``, 3 ``generate_awgn`` and one
+    ``chain_error_counts``, which closes it.  This pins that pattern until
+    the benchmark reconciles from ``simulate_point``'s results instead
+    (ROADMAP item 2)."""
+
+    def test_simulate_point_call_sequence(self, monkeypatch):
+        calls = []
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append((name, args if name == "seed" else None, kwargs))
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name, attr in [("seed", "trial_seed_sequence"), ("fading", "generate_fading"),
+                           ("noise", "generate_awgn"), ("chain", "chain_error_counts")]:
+            monkeypatch.setattr(harness, attr, counting(name, getattr(harness, attr)))
+        cfg = ExperimentConfig(modulation="dqpsk", frame_length=20, batch_trials=4,
+                               max_symbols=400, seed=11)
+        est = simulate_point(cfg, cfg.profile(5.0), 2)
+        assert est.trials == 10
+        pattern = ["seed"] + ["fading"] * 3 + ["noise"] * 3 + ["chain"]
+        assert [c[0] for c in calls] == pattern * est.trials
+        seeds = [c for c in calls if c[0] == "seed"]
+        assert [(args, kwargs) for _, args, kwargs in seeds] == \
+            [((11, 2, t), {}) for t in range(est.trials)]
 
 
 class TestPowerSweep:
