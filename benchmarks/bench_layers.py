@@ -19,8 +19,9 @@ fresh process and times, in microseconds per call:
 - one ``simulate_point`` at the same point with the default stop rule;
 - ``analytical_ber`` per modulation at the same point;
 - ``outage_probability`` over 10^4 thresholds from -10 to 30 dB;
-- ``write_outage_csv`` of the 51-power x 801-threshold grid of the
-  benchmark's ``analytic`` workload into a ``StringIO``.
+- ``run_outage_curve`` over the 51-power x 801-threshold grid of the
+  benchmark's ``analytic`` workload, and ``write_outage_csv`` of the
+  tree's own result for that grid into a ``StringIO``.
 
 Each round times a fixed number of calls of every layer in turn.  Two trees
 are measured in the order A B B A, 8 rounds per slot, so a drift of the
@@ -68,9 +69,8 @@ def layers():
     v_idx = rng.integers(0, mod.order, SYMBOLS)
     trial = itertools.count()
     thresholds = 10.0 ** (np.linspace(-10.0, 30.0, OUTAGE_THRESHOLDS) / 10.0)
-    grid = harness.run_outage_curve(
-        harness.ExperimentConfig(power_db=tuple(OUTAGE_POWERS_DB), q=0.7),
-        OUTAGE_GAMMA_DB)
+    outage_config = harness.ExperimentConfig(power_db=tuple(OUTAGE_POWERS_DB), q=0.7)
+    grid = harness.run_outage_curve(outage_config, OUTAGE_GAMMA_DB)
 
     def seeding():
         ss = harness.trial_seed_sequence(config.seed, 0, next(trial))
@@ -91,6 +91,7 @@ def layers():
         ("ber_dbpsk", lambda: analysis.analytical_ber(dbpsk, profile), CALLS),
         ("ber_dqpsk", lambda: analysis.analytical_ber(mod, profile), CALLS),
         ("outage_vector", lambda: analysis.outage_probability(thresholds, profile), 20),
+        ("outage_curve", lambda: harness.run_outage_curve(outage_config, OUTAGE_GAMMA_DB), 2),
         ("outage_csv", lambda: harness.write_outage_csv(io.StringIO(), grid), 2),
     ]
 
@@ -186,8 +187,9 @@ def main(argv=None):
         f"symbols, {USES} channel uses per link; simulate_point at that point, "
         f"default stop rule (1,696 trials); analytical_ber per modulation "
         f"at the same point; outage_probability over {OUTAGE_THRESHOLDS} "
-        f"thresholds; write_outage_csv of {len(OUTAGE_POWERS_DB)} x "
-        f"{len(OUTAGE_GAMMA_DB)} rows into a StringIO")
+        f"thresholds; run_outage_curve over {len(OUTAGE_POWERS_DB)} powers x "
+        f"{len(OUTAGE_GAMMA_DB)} thresholds and write_outage_csv of its result "
+        f"into a StringIO")
     runs = doc.setdefault("runs", {})
     for i, label in enumerate(args.label):
         runs[label] = result = summarize(

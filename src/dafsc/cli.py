@@ -207,9 +207,9 @@ def main(argv=None) -> int:
             return 0
 
         if args.command == "outage":
-            rows = harness.run_outage_curve(
+            grid = harness.run_outage_curve(
                 config, parse_grid(args.gamma_db), mc_draws=args.mc_draws)
-            harness.write_outage_csv(args.out or sys.stdout, rows)
+            harness.write_outage_csv(args.out or sys.stdout, grid)
             return 0
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

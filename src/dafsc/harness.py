@@ -345,47 +345,51 @@ def run_power_allocation_sweep(config: ExperimentConfig):
     return tables, argmin_q
 
 
-@dataclass(frozen=True, slots=True)
-class OutagePoint:
-    """One row of an outage curve; slotted, as dense threshold grids make
-    tens of thousands of rows."""
+@dataclass(frozen=True, eq=False)
+class OutageGrid:
+    """An outage curve over (power grid) x (threshold grid): row i of each
+    read-only float64 array belongs to ``power_db[i]``, column j to
+    ``gamma_th_db[j]``.  ``mc_estimate`` and ``ci_halfwidth`` are None
+    when no Monte Carlo draws were made.  Compared by identity, as arrays
+    have no single truth value."""
 
-    power_db: float
-    gamma_th_db: float
-    analytical: float
-    mc_estimate: float | None = None
-    ci_halfwidth: float | None = None
+    power_db: tuple
+    gamma_th_db: tuple
+    analytical: np.ndarray
+    mc_estimate: np.ndarray | None = None
+    ci_halfwidth: np.ndarray | None = None
     draws: int = 0
 
 
 def run_outage_curve(config: ExperimentConfig, gamma_th_db, mc_draws: int = 0):
-    """Outage probability over (power grid) x (threshold grid).
-
-    ``mc_draws`` > 0 adds a Monte Carlo estimate column obtained by
-    sampling the combiner output SNR directly.  The closed form is
-    evaluated in one call per power over the whole threshold grid.
+    """Outage probability over (power grid) x (threshold grid) as an
+    ``OutageGrid``, the closed form in one call per power over the whole
+    threshold grid.  ``mc_draws`` > 0 adds a Monte Carlo estimate per cell
+    from that many samples of the combiner output SNR, seeded by
+    (config.seed, 10_000 + power index, threshold index).
     """
     if mc_draws < 0:
         raise ValueError("mc_draws must be >= 0")
     if len(gamma_th_db) == 0:
         raise ValueError("the threshold grid must be nonempty")
-    rows = []
     g_lin = np.array([10.0 ** (g_db / 10.0) for g_db in gamma_th_db])
+    shape = (len(config.power_db), len(g_lin))
+    analytical = np.empty(shape)
+    mc, ci = (np.empty(shape), np.empty(shape)) if mc_draws else (None, None)
     for i, p_db in enumerate(config.power_db):
         profile = config.profile(p_db)
-        ana_grid = analysis.outage_probability(g_lin, profile).tolist()
-        if mc_draws == 0:
-            rows += [OutagePoint(p_db, g_db, ana)
-                     for g_db, ana in zip(gamma_th_db, ana_grid)]
-        else:
-            for j, (g_db, ana) in enumerate(zip(gamma_th_db, ana_grid)):
-                rng = np.random.default_rng(
-                    np.random.SeedSequence(entropy=(config.seed, 10_000 + i, j)))
-                draws = analysis.draw_combiner_snr(profile, mc_draws, rng)
-                mc = float(np.mean(draws <= g_lin[j]))
-                ci = 1.96 * math.sqrt(max(mc * (1.0 - mc), 0.0) / mc_draws)
-                rows.append(OutagePoint(p_db, g_db, ana, mc, ci, mc_draws))
-    return rows
+        analytical[i] = analysis.outage_probability(g_lin, profile)
+        for j in range(len(g_lin) if mc_draws else 0):
+            rng = np.random.default_rng(
+                np.random.SeedSequence(entropy=(config.seed, 10_000 + i, j)))
+            draws = analysis.draw_combiner_snr(profile, mc_draws, rng)
+            mc[i, j] = p = float(np.mean(draws <= g_lin[j]))
+            ci[i, j] = 1.96 * math.sqrt(max(p * (1.0 - p), 0.0) / mc_draws)
+    for column in (analytical, mc, ci):
+        if column is not None:
+            column.flags.writeable = False
+    return OutageGrid(tuple(config.power_db), tuple(gamma_th_db),
+                      analytical, mc, ci, mc_draws)
 
 
 # ---------------------------------------------------------------------------
@@ -455,37 +459,27 @@ def ber_csv_text(points) -> str:
     return buf.getvalue()
 
 
-def write_outage_csv(path_or_file, rows) -> None:
-    """Write outage rows as CSV, one ``write`` per block of rows that share
-    a power.  Each power and each threshold value is formatted once; no
-    cell needs CSV quoting."""
-    thresholds = {}  # value -> its cell; not zero, as -0.0 == 0.0 prints -0.00
+def write_outage_csv(path_or_file, grid) -> None:
+    """Write an ``OutageGrid`` as CSV, one row per cell, powers outer and
+    one ``write`` per power.  Each power and each threshold is formatted
+    once, by position, so -0.0 keeps its sign; no cell needs CSV quoting."""
+    g_cells = [f"{g:.2f}," for g in grid.gamma_th_db]
+    no_mc = [f",,,{grid.draws}\n"] * len(g_cells)
     with _opened(path_or_file, "w") as fh:
         fh.write(",".join(OUTAGE_CSV_HEADER) + "\n")
-        block = []
-        power = None
-        for r in rows:
-            if r.power_db is not power:
-                fh.write("".join(block))
-                block.clear()
-                power = r.power_db
-                power_cell = f"{power:.2f}"
-            g = r.gamma_th_db
-            g_cell = thresholds.get(g)
-            if g_cell is None:
-                g_cell = f"{g:.2f}"
-                if g:
-                    thresholds[g] = g_cell
-            block.append(f"{power_cell},{g_cell},{_fmt_prob(r.analytical)},"
-                         f"{_fmt_prob(r.mc_estimate)},{_fmt_prob(r.ci_halfwidth)},"
-                         f"{r.draws}\n")
-        fh.write("".join(block))
+        for i, p_db in enumerate(grid.power_db):
+            lead = f"{p_db:.2f},"
+            tails = no_mc if grid.mc_estimate is None else [
+                f",{m:.5e},{c:.5e},{grid.draws}\n" for m, c in
+                zip(grid.mc_estimate[i].tolist(), grid.ci_halfwidth[i].tolist())]
+            fh.write("".join([f"{lead}{g}{a:.5e}{t}" for g, a, t in
+                              zip(g_cells, grid.analytical[i].tolist(), tails)]))
 
 
 __all__ = [
     "ExperimentConfig",
     "BerPoint",
-    "OutagePoint",
+    "OutageGrid",
     "PointEstimate",
     "DEFAULT_POWER_GRID_DB",
     "DEFAULT_Q_GRID",

@@ -55,6 +55,10 @@ _K1_COMPLEMENT_SPLIT = 2.0
 # Trapezoid nodes on [0, acosh(1 + 45/x)] for exp(x)K1(x) above the split;
 # 16 already reach machine precision over (5.5, 700].
 _K1_NODES = 32
+_K1_NODE_INDEX = np.arange(1.0, _K1_NODES + 1.0)
+# Arguments per (nodes x arguments) block: it bounds each temporary at
+# 32 x 1,024 doubles, where one (32, n) array measured slower for large n
+_K1_BLOCK = 1024
 
 
 class QuadratureConvergenceError(RuntimeError):
@@ -154,14 +158,15 @@ def _k1_complement_series(x):
 def _k1_scaled_trapezoid(x):
     # exp(x)*K1(x) = int_0^inf exp(-2x sinh^2(t/2)) cosh t dt, trapezoid on
     # [0, acosh(1 + 45/x)]: exponentially convergent for the even analytic
-    # integrand, node by node over the whole argument array
+    # integrand.  All nodes by a block of arguments at once; the node terms
+    # are added in node order, which keeps the sum bitwise a node loop's
     half_step = 0.5 * np.arccosh(1.0 + 45.0 / x) / _K1_NODES
-    minus_two_x = -2.0 * x
     acc = np.full_like(x, 0.5)  # integrand value 1 at t = 0, half weight
-    for j in range(1, _K1_NODES + 1):
-        sh2 = np.sinh(j * half_step)
-        sh2 *= sh2
-        acc += np.exp(minus_two_x * sh2) * (1.0 + 2.0 * sh2)
+    for start in range(0, x.size, _K1_BLOCK):
+        cols = slice(start, start + _K1_BLOCK)
+        sh2 = np.sinh(np.multiply.outer(_K1_NODE_INDEX, half_step[cols])) ** 2
+        for term in np.exp(-2.0 * x[cols] * sh2) * (1.0 + 2.0 * sh2):
+            acc[cols] += term
     return (2.0 * half_step) * acc
 
 

@@ -330,10 +330,10 @@ class TestPowerSweep:
 class TestOutageCurve:
     def test_zero_threshold_row_exact_zero(self):
         cfg = ExperimentConfig(power_db=(10.0,), seed=5)
-        rows = run_outage_curve(cfg, gamma_th_db=(-300.0, 0.0, 5.0))
+        grid = run_outage_curve(cfg, gamma_th_db=(-300.0, 0.0, 5.0))
         # a -300 dB threshold is numerically zero outage; 0 dB is gamma=1
-        assert rows[0].analytical < 1e-25
-        assert np.all(np.diff([r.analytical for r in rows]) > 0.0)
+        assert grid.analytical[0, 0] < 1e-25
+        assert np.all(np.diff(grid.analytical[0]) > 0.0)
 
     def test_one_closed_form_call_per_power(self, monkeypatch):
         calls = []
@@ -346,14 +346,17 @@ class TestOutageCurve:
         monkeypatch.setattr(analysis, "outage_probability", counting)
         cfg = ExperimentConfig(power_db=(0.0, 10.0, 20.0), seed=5)
         gamma_db = (-10.0, -2.5, 0.0, 5.0, 12.5, 30.0)
-        rows = run_outage_curve(cfg, gamma_th_db=gamma_db)
+        grid = run_outage_curve(cfg, gamma_th_db=gamma_db)
         assert calls == [len(gamma_db)] * 3
-        assert [(r.power_db, r.gamma_th_db) for r in rows] == [
-            (p, g) for p in cfg.power_db for g in gamma_db]
-        for r in rows:
-            want = true_outage(10.0 ** (r.gamma_th_db / 10.0), cfg.profile(r.power_db))
-            assert r.analytical == pytest.approx(want, rel=1e-15)
-            assert type(r.analytical) is float
+        assert grid.power_db == cfg.power_db and grid.gamma_th_db == gamma_db
+        assert grid.analytical.dtype == np.float64
+        assert grid.analytical.shape == (len(cfg.power_db), len(gamma_db))
+        assert not grid.analytical.flags.writeable
+        assert grid.mc_estimate is None and grid.ci_halfwidth is None
+        for i, p_db in enumerate(grid.power_db):
+            for j, g_db in enumerate(grid.gamma_th_db):
+                want = true_outage(10.0 ** (g_db / 10.0), cfg.profile(p_db))
+                assert grid.analytical[i, j] == pytest.approx(want, rel=1e-15)
 
     def test_negative_mc_draws_rejected(self):
         with pytest.raises(ValueError):
@@ -361,10 +364,11 @@ class TestOutageCurve:
 
     def test_mc_column_within_ci(self):
         cfg = ExperimentConfig(power_db=(10.0,), seed=6)
-        rows = run_outage_curve(cfg, gamma_th_db=(0.0, 5.0), mc_draws=200_000)
-        for r in rows:
-            assert r.mc_estimate is not None
-            assert abs(r.mc_estimate - r.analytical) <= 3.0 * (r.ci_halfwidth / 1.96)
+        grid = run_outage_curve(cfg, gamma_th_db=(0.0, 5.0), mc_draws=200_000)
+        assert grid.mc_estimate.shape == grid.analytical.shape == (1, 2)
+        assert grid.draws == 200_000
+        assert np.all(np.abs(grid.mc_estimate - grid.analytical)
+                      <= 3.0 * (grid.ci_halfwidth / 1.96))
 
 
 class TestCsv:
@@ -407,18 +411,22 @@ class TestCsv:
         write_outage_csv(path, rows)
         assert path.read_bytes() == want.encode()
 
-    def test_outage_csv_rows_in_any_order(self):
-        # one block per run of equal powers; a threshold's cell is reused
-        # across blocks, never across the two signed zeros
-        rows = [harness.OutagePoint(p, g, 0.25)
-                for p, g in [(1.0, 0.0), (2.0, -0.0), (1.0, 0.0), (1.0, -0.0),
-                             (2.0, 0.0), (2.0, 1.005)]]
+    def test_outage_csv_signed_zero_grid(self):
+        # cells are formatted by position, so the two signed zeros of either
+        # coordinate each keep their own sign
+        grid = harness.OutageGrid(
+            power_db=(1.0, -0.0), gamma_th_db=(0.0, -0.0, 1.005),
+            analytical=np.array([[0.25, 0.5, 0.75], [1e-300, 0.0, 1.0]]))
         buf = io.StringIO()
-        write_outage_csv(buf, rows)
-        body = buf.getvalue().splitlines()[1:]
-        assert [ln.rsplit(",", 4)[0] for ln in body] == [
-            "1.00,0.00", "2.00,-0.00", "1.00,0.00", "1.00,-0.00", "2.00,0.00",
-            f"2.00,{1.005:.2f}"]
+        write_outage_csv(buf, grid)
+        assert buf.getvalue().splitlines()[1:] == [
+            "1.00,0.00,2.50000e-01,,,0",
+            "1.00,-0.00,5.00000e-01,,,0",
+            "1.00,1.00,7.50000e-01,,,0",  # the double nearest 1.005 lies below it
+            "-0.00,0.00,1.00000e-300,,,0",
+            "-0.00,-0.00,0.00000e+00,,,0",
+            "-0.00,1.00,1.00000e+00,,,0",
+        ]
 
     def test_outage_csv_schema(self, tmp_path):
         cfg = ExperimentConfig(power_db=(10.0,), seed=5)

@@ -177,6 +177,41 @@ class TestBesselK1:
             bessel_k1(0.0)
 
 
+def _k1_trapezoid_node_loop(x):
+    # the node-by-node loop that _k1_scaled_trapezoid replaced: the same
+    # terms, one array of arguments per node, added in node order
+    half_step = 0.5 * np.arccosh(1.0 + 45.0 / x) / specfn._K1_NODES
+    minus_two_x = -2.0 * x
+    acc = np.full_like(x, 0.5)
+    for j in range(1, specfn._K1_NODES + 1):
+        sh2 = np.sinh(j * half_step)
+        sh2 *= sh2
+        acc += np.exp(minus_two_x * sh2) * (1.0 + 2.0 * sh2)
+    return (2.0 * half_step) * acc
+
+
+class TestK1Trapezoid:
+    # arguments on both sides of the series / trapezoid split, up to 700;
+    # the 2,500-argument array spans several argument blocks
+    X = np.concatenate((np.linspace(5.0, 6.0, 41), np.geomspace(6.0, 700.0, 59)))
+    LONG = np.random.default_rng(3).uniform(5.0, 700.0, 2_500)
+
+    @pytest.mark.parametrize("shape", [(), (100,), (4, 25), (2_500,)],
+                             ids=["0d", "1d", "2d", "blocks"])
+    def test_bitwise_equal_to_node_loop(self, shape):
+        if shape == ():
+            args = [np.array(v) for v in self.X]
+        elif shape == (2_500,):
+            args = [self.LONG]
+        else:
+            args = [self.X.reshape(shape), self.X[::-1].reshape(shape)]
+        for x in args:
+            got = np.asarray(bessel_k1_scaled(x))
+            assert got.shape == shape
+            above = x > specfn._K1_SPLIT
+            assert np.array_equal(got[above], _k1_trapezoid_node_loop(x[above]))
+
+
 class TestBesselK1Complement:
     def test_matches_mpmath(self):
         x = np.array([row[0] for row in K1_COMPLEMENT])
