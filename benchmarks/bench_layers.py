@@ -10,12 +10,11 @@ Imports ``dafsc`` from each DIR (default: ``src/`` of this checkout) in a
 fresh process and times, in microseconds per call:
 
 - the calls one trial makes at DQPSK, 30 dB, q = 0.7, 2 frames x 500
-  symbols (1,002 channel uses): seeding (the tree's own: the SeedSequence
-  and its 7 streams built by ``harness._trial_streams``, or, in a tree
-  without that helper, a 7-way spawn and 7 ``default_rng`` calls), one
-  ``generate_fading``, one ``generate_awgn``, the symbol draw, one
-  ``chain_error_counts`` and one whole ``harness._run_trial``, the call
-  ``simulate_point`` makes per trial;
+  symbols (1,002 channel uses): seeding (the SeedSequence and its 7
+  streams built by ``harness._trial_streams``), one ``generate_fading``,
+  one ``generate_awgn``, the symbol draw, one ``chain_error_counts`` and
+  one whole ``harness._run_trial``, the call ``simulate_point`` makes per
+  trial;
 - one ``simulate_point`` at the same point with the default stop rule;
 - ``analytical_ber`` per modulation at the same point;
 - ``outage_probability`` over 10^4 thresholds from -10 to 30 dB;
@@ -74,9 +73,7 @@ def layers():
 
     def seeding():
         ss = harness.trial_seed_sequence(config.seed, 0, next(trial))
-        if hasattr(harness, "_trial_streams"):
-            return harness._trial_streams(ss)
-        return [np.random.default_rng(child) for child in ss.spawn(7)]
+        return harness._trial_streams(ss)
 
     return [
         ("seeding", seeding, CALLS),

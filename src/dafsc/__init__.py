@@ -34,7 +34,6 @@ from .phy import (
 )
 from .specfn import (
     QuadratureConvergenceError,
-    QuadratureSpec,
     bessel_j0,
     bessel_k1,
     exp_integral_e1,
@@ -72,7 +71,6 @@ __all__ = [
     "select_combine",
     "semi_mrc_combine",
     "QuadratureConvergenceError",
-    "QuadratureSpec",
     "bessel_j0",
     "bessel_k1",
     "exp_integral_e1",

@@ -7,8 +7,8 @@ error integral, averaged in closed form over the exponential direct-branch
 SNR and the (conditionally exponential) relayed-branch SNR, leaving a
 single integral over the angle variable.  That integrand is periodic and
 analytic in the angle, so the periodic trapezoid rule
-(:func:`~dafsc.specfn.integrate_periodic_sets`) converges geometrically; a
-DQPSK point takes 64 or 128 nodes.  The angular weights depend only on the
+(:func:`~dafsc.specfn.integrate_periodic_sets`) converges geometrically to
+its fixed tolerance (relative 1e-10); a DQPSK point takes 64 or 128 nodes.  The angular weights depend only on the
 modulation and the nodes, so they are tabulated once per node set.
 
 The relayed-branch average introduces exponential-integral terms; they are
@@ -113,8 +113,8 @@ def _ber_integrand(weight, snr_scale, profile: PowerProfile):
 def analytical_ber(mod: ModulationParams, profile: PowerProfile) -> float:
     """Exact average bit error rate of the selection combiner.
 
-    The angle integral is evaluated by the periodic trapezoid rule at the
-    default tolerances; deterministic.  The value lies in
+    The angle integral is evaluated by the periodic trapezoid rule at its
+    fixed tolerances; deterministic.  The value lies in
     (0, 1/2] and tends to 1/2 as the powers vanish.  At high power the
     relayed-branch terms, through scaled_e1(x) = -ln x - gamma + O(x),
     reduce to (1/A^2) ln(A^2 s)/s^2 + O(1/s^2) with s = 1 + scale p0, so

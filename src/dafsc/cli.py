@@ -1,12 +1,13 @@
 """Command-line interface.
 
 Subcommands: ``ber-curve``, ``power-sweep``, ``outage``, ``validate``.
-Values can also come from a key=value config file via ``--config``;
-explicit flags override file entries.
+Each takes only the flags it reads.  Values can also come from a key=value
+config file via ``--config``; explicit flags override file entries.
 
-Exit codes: 0 success, 1 usage error (including a dB value too large to
-convert to linear units), 2 validation failure, 3 budget warnings
-escalated by ``--strict`` or an analytical integral that did not converge.
+Exit codes: 0 success, 1 usage error (including a flag the subcommand does
+not take and a dB value too large to convert to linear units), 2
+validation failure, 3 budget warnings escalated by ``--strict`` or an
+analytical integral that did not converge.
 """
 
 import argparse
@@ -22,6 +23,12 @@ from .specfn import QuadratureConvergenceError
 
 
 class _Parser(argparse.ArgumentParser):
+    """Exits 1 on a usage error.  Flags are taken only spelt in full, so
+    that ``power-sweep --q`` is an error, not ``--q-grid``."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
     def error(self, message):
         self.print_usage(sys.stderr)
         sys.stderr.write(f"error: {message}\n")
@@ -88,24 +95,34 @@ def load_config_file(path: str) -> dict:
     return out
 
 
-def _add_common(sub):
-    sub.add_argument("--config", help="key=value config file; flags override it")
-    sub.add_argument("--mod", choices=["dbpsk", "dqpsk"], help="modulation")
-    sub.add_argument("--power-db", help="total power grid, list or start:stop:step (dB); "
-                     "for power-sweep, the powers swept")
-    sub.add_argument("--q", type=float, help="power allocation fraction for the source")
-    sub.add_argument("--amp", type=float, help="override the relay amplification factor")
-    sub.add_argument("--doppler", type=float, help="normalized Doppler (fd*Ts)")
-    sub.add_argument("--seed", type=int, help="master RNG seed")
-    sub.add_argument("--workers", type=int,
-                     help="accepted for compatibility (>= 1); trials run on one thread")
-    sub.add_argument("--min-errors", type=int, help="bit-error target per point")
-    sub.add_argument("--max-symbols", type=int, help="symbol budget per point")
-    sub.add_argument("--analytical-only", action="store_true", default=None,
-                     help="skip simulation, emit analytical values only")
-    sub.add_argument("--out", help="output CSV path (default: stdout)")
-    sub.add_argument("--strict", action="store_true",
-                     help="exit 3 if any point missed its error target")
+# add_argument keywords of the shared flags.  A flag that sets a config key
+# has that key as its dest (and so as its metavar in --help); a grid flag
+# keeps its text for _build_config to parse, so a bad grid reads "error: …".
+_FLAGS = {
+    "--config": dict(help="key=value config file; flags override it"),
+    "--mod": dict(dest="modulation", choices=["dbpsk", "dqpsk"], help="modulation"),
+    "--power-db": dict(help="total power grid, list or start:stop:step (dB)"),
+    "--q": dict(type=float, help="power allocation fraction for the source"),
+    "--amp": dict(dest="amplification", type=float,
+                  help="override the relay amplification factor"),
+    "--doppler": dict(dest="normalized_doppler", type=float,
+                      help="normalized Doppler (fd*Ts)"),
+    "--seed": dict(type=int, help="master RNG seed"),
+    "--workers": dict(type=int,
+                      help="accepted for compatibility (>= 1); trials run on one thread"),
+    "--min-errors": dict(dest="min_bit_errors", type=int, help="bit-error target per point"),
+    "--max-symbols": dict(type=int, help="symbol budget per point"),
+    "--analytical-only": dict(action="store_true", default=None,
+                              help="skip simulation, emit analytical values only"),
+    "--out": dict(help="output CSV path (default: stdout)"),
+    "--strict": dict(action="store_true",
+                     help="exit 3 if any point missed its error target"),
+}
+
+
+def _add_flags(sub, *options):
+    for option in options:
+        sub.add_argument(option, **_FLAGS[option])
 
 
 def build_parser() -> _Parser:
@@ -113,15 +130,17 @@ def build_parser() -> _Parser:
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     subs = parser.add_subparsers(dest="command", required=True)
 
-    ber = subs.add_parser("ber-curve", parents=[], help="BER vs total power")
-    _add_common(ber)
+    ber = subs.add_parser("ber-curve", help="BER vs total power")
+    _add_flags(ber, *_FLAGS)
 
     sweep = subs.add_parser("power-sweep", help="analytical BER vs allocation q")
-    _add_common(sweep)
+    _add_flags(sweep, "--config", "--mod", "--amp", "--out")
+    sweep.add_argument("--power-db", dest="sweep_power_db",
+                       help="powers swept, list or start:stop:step (dB); one table per power")
     sweep.add_argument("--q-grid", help="q grid, list or start:stop:step")
 
     outage = subs.add_parser("outage", help="outage probability vs threshold")
-    _add_common(outage)
+    _add_flags(outage, "--config", "--power-db", "--q", "--amp", "--seed", "--out")
     outage.add_argument("--gamma-db", default="0:20:2",
                         help="SNR threshold grid in dB (default 0:20:2)")
     outage.add_argument("--mc-draws", type=int, default=0,
@@ -134,26 +153,12 @@ def build_parser() -> _Parser:
 
 
 def _build_config(args) -> ExperimentConfig:
-    kwargs = {}
-    if args.config:
-        kwargs.update(load_config_file(args.config))
-    overrides = {
-        "modulation": args.mod,
-        "q": args.q,
-        "amplification": args.amp,
-        "normalized_doppler": args.doppler,
-        "seed": args.seed,
-        "workers": args.workers,
-        "min_bit_errors": args.min_errors,
-        "max_symbols": args.max_symbols,
-        "analytical_only": args.analytical_only,
-    }
-    if args.power_db is not None:
-        key = "sweep_power_db" if args.command == "power-sweep" else "power_db"
-        overrides[key] = parse_grid(args.power_db)
-    if getattr(args, "q_grid", None) is not None:
-        overrides["q_grid"] = parse_grid(args.q_grid)
-    kwargs.update({k: v for k, v in overrides.items() if v is not None})
+    """The config file's settings, overridden by every config flag the
+    subcommand declared and the command line gave."""
+    kwargs = load_config_file(args.config) if args.config else {}
+    for key, value in vars(args).items():
+        if key in _KEY_PARSERS and value is not None:
+            kwargs[key] = parse_grid(value) if _KEY_PARSERS[key] is parse_grid else value
     return ExperimentConfig(**kwargs)
 
 
@@ -191,6 +196,11 @@ def main(argv=None) -> int:
             return 0
 
         if args.command == "power-sweep":
+            # the tables are keyed, and their files named, by power
+            labels = {f"{p_db:.2f}" for p_db in config.sweep_power_db}
+            if len(labels) < len(config.sweep_power_db):
+                raise ValueError("sweep powers must differ at two decimals, "
+                                 f"got {config.sweep_power_db}")
             tables, argmin_q = harness.run_power_allocation_sweep(config)
             chunks = []
             for p_db, rows in tables.items():

@@ -5,6 +5,8 @@ first-order modified Bessel function of the second kind K1, the Bessel
 function J0, a periodic trapezoid integrator over [-pi, pi) for the
 analytic periodic integrands of the BER engine, and a deterministic
 adaptive Gauss-Legendre integrator for general integrands on [-pi, pi].
+Both integrators work to one fixed tolerance, relative 1e-10 or absolute
+1e-14, within a fixed budget.
 
 The special functions are array code on numpy: each call evaluates its
 whole argument array (masked series and continued-fraction or quadrature
@@ -14,7 +16,6 @@ returns a float for a scalar argument.
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,9 +61,16 @@ _K1_NODE_INDEX = np.arange(1.0, _K1_NODES + 1.0)
 # 32 x 1,024 doubles, where one (32, n) array measured slower for large n
 _K1_BLOCK = 1024
 
+# Both integrators accept an estimate once its error estimate is at most
+# max(_ABSOLUTE_TOLERANCE, _RELATIVE_TOLERANCE * |estimate|);
+# integrate_theta gives up after _THETA_MAX_BISECTIONS bisections.
+_RELATIVE_TOLERANCE = 1e-10
+_ABSOLUTE_TOLERANCE = 1e-14
+_THETA_MAX_BISECTIONS = 500
+
 
 class QuadratureConvergenceError(RuntimeError):
-    """Raised when an integrator cannot reach the requested tolerance.
+    """Raised when an integrator cannot reach its tolerance within its budget.
 
     Carries the best available estimate and the achieved error bound.
     """
@@ -74,29 +82,6 @@ class QuadratureConvergenceError(RuntimeError):
         )
         self.estimate = estimate
         self.error_estimate = error_estimate
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Tolerances and refinement budget for the integrators.
-
-    ``relative_tolerance`` and ``absolute_tolerance`` bound the accepted
-    global error estimate; ``max_subdivisions`` caps the number of
-    refinements (interval bisections for :func:`integrate_theta`, node
-    doublings for :func:`integrate_periodic`) before giving up.
-    """
-
-    relative_tolerance: float = 1e-10
-    absolute_tolerance: float = 1e-14
-    max_subdivisions: int = 500
-
-    def __post_init__(self):
-        if not (self.relative_tolerance > 0.0):
-            raise ValueError("relative_tolerance must be > 0")
-        if not (self.absolute_tolerance > 0.0):
-            raise ValueError("absolute_tolerance must be > 0")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be >= 1")
 
 
 def _series_length(reach, arg_max):
@@ -297,7 +282,7 @@ def periodic_nodes(k: int) -> np.ndarray:
     return nodes
 
 
-def integrate_periodic(f, spec: QuadratureSpec | None = None) -> float:
+def integrate_periodic(f) -> float:
     """Integrate a 2pi-periodic ``f`` over [-pi, pi) by the trapezoid rule.
 
     ``f`` must be vectorized; it is called with the read-only node arrays
@@ -307,42 +292,37 @@ def integrate_periodic(f, spec: QuadratureSpec | None = None) -> float:
     evaluates ``f`` on the 32-node rule and the midpoints of its first
     doubling, each later call only at the new midpoints, and the error
     estimate is the difference from the rule on the previous (half) node
-    set.  Nodes double,
-    from 32, until the estimate meets the tolerances in ``spec``; each
-    doubling counts against ``spec.max_subdivisions``, and the node count
-    never exceeds 65,536.  Two rules agree falsely on Fourier content they
-    both alias, so the integrand's Fourier coefficients should decay
-    geometrically, as those of the BER integrand do.
+    set.  Nodes double, from 32, until the estimate meets the relative
+    tolerance 1e-10 or the absolute tolerance 1e-14.  Two rules agree
+    falsely on Fourier content they both alias, so the integrand's Fourier
+    coefficients should decay geometrically, as those of the BER integrand
+    do.
 
     Raises :class:`QuadratureConvergenceError` (carrying the best
-    estimate and its error bound) if the budget is exhausted first.
+    estimate and its error bound) if 65,536 nodes do not meet them.
     """
-    return integrate_periodic_sets(lambda k: f(periodic_nodes(k)), spec)
+    return integrate_periodic_sets(lambda k: f(periodic_nodes(k)))
 
 
-def integrate_periodic_sets(values, spec: QuadratureSpec | None = None) -> float:
+def integrate_periodic_sets(values) -> float:
     """:func:`integrate_periodic` for an integrand given per node set.
 
     ``values(k)`` returns the integrand on ``periodic_nodes(k)``, so a
     caller can tabulate what depends only on the nodes once per set.
     """
-    if spec is None:
-        spec = QuadratureSpec()
     n = _PERIODIC_START_NODES
     step = 2.0 * math.pi / n
     first = values(0)
     total = float(np.sum(first[:n]))
     estimate = step * total
     error = math.inf
-    for k in range(spec.max_subdivisions):
-        if n >= _PERIODIC_MAX_NODES:
-            break
+    for k in range(PERIODIC_NODE_SETS):  # one doubling per set, to 65,536 nodes
         total += float(np.sum(first[n:] if k == 0 else values(k)))
         n *= 2
         step *= 0.5
         previous, estimate = estimate, step * total
         error = abs(estimate - previous)
-        if error <= max(spec.absolute_tolerance, spec.relative_tolerance * abs(estimate)):
+        if error <= max(_ABSOLUTE_TOLERANCE, _RELATIVE_TOLERANCE * abs(estimate)):
             return estimate
     raise QuadratureConvergenceError(estimate, error)
 
@@ -363,33 +343,30 @@ def _panel(f, a, b):
     return fine, abs(fine - coarse)
 
 
-def integrate_theta(f, spec: QuadratureSpec | None = None) -> float:
+def integrate_theta(f) -> float:
     """Integrate ``f`` over [-pi, pi] by deterministic adaptive bisection.
 
     ``f`` must be vectorized: given an ndarray of angles it returns the
     ndarray of integrand values.  Each panel is estimated with a nested
     10/21-point Gauss-Legendre pair; the panel with the largest error
     estimate is bisected until the summed error estimate meets the
-    tolerances in ``spec``.  The subdivision sequence depends only on
-    ``f`` and ``spec``, so results are reproducible bit-for-bit.  Unlike
-    :func:`integrate_periodic` it needs neither periodicity nor
-    smoothness.
+    relative tolerance 1e-10 or the absolute tolerance 1e-14.  The
+    subdivision sequence depends only on ``f``, so results are
+    reproducible bit-for-bit.  Unlike :func:`integrate_periodic` it needs
+    neither periodicity nor smoothness.
 
     Raises :class:`QuadratureConvergenceError` (carrying the best
-    estimate and its error bound) if the subdivision budget is exhausted.
+    estimate and its error bound) if 500 bisections do not meet them.
     """
-    if spec is None:
-        spec = QuadratureSpec()
     values = [_panel(f, -math.pi, math.pi)]
     bounds = [(-math.pi, math.pi)]
-    for _ in range(spec.max_subdivisions + 1):
+    for _ in range(_THETA_MAX_BISECTIONS + 1):
         total = 0.0
         err = 0.0
         for v, e in values:
             total += v
             err += e
-        tol = max(spec.absolute_tolerance, spec.relative_tolerance * abs(total))
-        if err <= tol:
+        if err <= max(_ABSOLUTE_TOLERANCE, _RELATIVE_TOLERANCE * abs(total)):
             return total
         worst = max(range(len(values)), key=lambda i: values[i][1])
         a, b = bounds[worst]
@@ -404,7 +381,6 @@ def integrate_theta(f, spec: QuadratureSpec | None = None) -> float:
 
 
 __all__ = [
-    "QuadratureSpec",
     "QuadratureConvergenceError",
     "exp_integral_e1",
     "scaled_e1",

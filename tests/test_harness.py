@@ -1,5 +1,7 @@
 """Harness orchestration: determinism, CSV round-trips, CLI, validation."""
 
+import argparse
+import importlib.util
 import io
 import json
 import os
@@ -455,7 +457,7 @@ class TestValidationSuite:
     def test_tampered_periodic_rule_detected(self, monkeypatch):
         true_rule = specfn.integrate_periodic
         monkeypatch.setattr(specfn, "integrate_periodic",
-                            lambda f, spec=None: 1.01 * true_rule(f, spec))
+                            lambda f: 1.01 * true_rule(f))
         report = run_validation_suite()
         assert not report["passed"]
         failing = {c["name"] for c in report["checks"] if not c["passed"]}
@@ -640,6 +642,58 @@ class TestCli:
         lines = [ln for ln in capsys.readouterr().err.splitlines()
                  if ln.startswith("P = ")]
         assert len(lines) == 1 and lines[0].startswith("P = 10.00 dB")
+
+    @pytest.mark.parametrize("powers", ["15.001,15.004", "15,15"])
+    def test_power_sweep_rejects_powers_equal_at_two_decimals(
+            self, powers, tmp_path, capsys):
+        # their tables would share one file name and one key
+        code = cli.main(["power-sweep", "--power-db", powers, "--q-grid", "0.5,0.7",
+                         "--out", str(tmp_path / "s.csv")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert list(tmp_path.iterdir()) == []
+
+    SUBCOMMAND_FLAGS = {
+        "ber-curve": {"--config", "--mod", "--power-db", "--q", "--amp", "--doppler",
+                      "--seed", "--workers", "--min-errors", "--max-symbols",
+                      "--analytical-only", "--out", "--strict"},
+        "power-sweep": {"--config", "--mod", "--power-db", "--amp", "--q-grid", "--out"},
+        "outage": {"--config", "--power-db", "--q", "--amp", "--seed", "--gamma-db",
+                   "--mc-draws", "--out"},
+        "validate": {"--seed", "--out"},
+    }
+
+    def test_each_subcommand_takes_only_the_flags_it_reads(self):
+        parser = cli.build_parser()
+        subs = next(a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction))
+        got = {name: {opt for action in sub._actions for opt in action.option_strings}
+               - {"-h", "--help"} for name, sub in subs.choices.items()}
+        assert got == self.SUBCOMMAND_FLAGS
+
+    @pytest.mark.parametrize("argv", [
+        ["power-sweep", "--seed", "3"],
+        # not read as an abbreviation of --q-grid
+        ["power-sweep", "--q", "0.9"],
+        ["outage", "--mod", "dqpsk"],
+    ])
+    def test_flag_the_subcommand_does_not_take_is_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as info:
+            cli.main(argv)
+        assert info.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ") and "unrecognized arguments" in err
+
+    def test_benchmark_jobs_parse(self, tmp_path):
+        # the benchmark's CLI calls, read from its own script
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
+        spec = importlib.util.spec_from_file_location("perfbench_run", path)
+        bench = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(bench)
+        for workload in bench.WORKLOADS:
+            for argv in bench.jobs_for(workload, 1, tmp_path / workload):
+                args = cli.build_parser().parse_args(argv)
+                cli._build_config(args)
 
     def test_import_leaves_scipy_and_reference_tables_unloaded(self):
         # scipy.integrate alone takes longer to import than the whole package
