@@ -5,9 +5,10 @@ Each takes only the flags it reads.  Values can also come from a key=value
 config file via ``--config``; explicit flags override file entries.
 
 Exit codes: 0 success, 1 usage error (including a flag the subcommand does
-not take and a dB value too large to convert to linear units), 2
-validation failure, 3 budget warnings escalated by ``--strict`` or an
-analytical integral that did not converge.
+not take, several ``power-sweep`` powers without ``--out`` and a dB value
+too large to convert to linear units), 2 validation failure, 3 budget
+warnings escalated by ``--strict`` or an analytical integral that did not
+converge.
 """
 
 import argparse
@@ -162,14 +163,6 @@ def _build_config(args) -> ExperimentConfig:
     return ExperimentConfig(**kwargs)
 
 
-def _emit(text: str, out_path):
-    if out_path:
-        with open(out_path, "w", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -177,7 +170,8 @@ def main(argv=None) -> int:
         if args.command == "validate":
             report = validate.run_validation_suite(
                 seed=args.seed if args.seed is not None else harness.DEFAULT_SEED)
-            _emit(json.dumps(report, indent=2) + "\n", args.out)
+            with harness._opened(args.out or sys.stdout, "w") as fh:
+                fh.write(json.dumps(report, indent=2) + "\n")
             for check in report["checks"]:
                 status = "PASS" if check["passed"] else "FAIL"
                 print(f"{status} {check['name']}: {check['observed']:.3e} "
@@ -188,7 +182,7 @@ def main(argv=None) -> int:
 
         if args.command == "ber-curve":
             points, warnings = harness.run_ber_curve(config)
-            _emit(harness.ber_csv_text(points), args.out)
+            harness.write_ber_csv(args.out or sys.stdout, points)
             for w in warnings:
                 print(f"warning: {w}", file=sys.stderr)
             if warnings and args.strict:
@@ -196,21 +190,22 @@ def main(argv=None) -> int:
             return 0
 
         if args.command == "power-sweep":
-            # the tables are keyed, and their files named, by power
+            # the tables are keyed, and their files named, by power; stdout
+            # holds one CSV, so one table
             labels = {f"{p_db:.2f}" for p_db in config.sweep_power_db}
             if len(labels) < len(config.sweep_power_db):
                 raise ValueError("sweep powers must differ at two decimals, "
                                  f"got {config.sweep_power_db}")
+            if len(labels) > 1 and not args.out:
+                raise ValueError("several sweep powers need --out "
+                                 "(one file per power)")
             tables, argmin_q = harness.run_power_allocation_sweep(config)
-            chunks = []
             for p_db, rows in tables.items():
                 if args.out:
                     stem, ext = os.path.splitext(args.out)
                     harness.write_ber_csv(f"{stem}_P{p_db:.2f}dB{ext}", rows)
                 else:
-                    chunks.append(harness.ber_csv_text(rows))
-            if chunks:
-                sys.stdout.write("".join(chunks))
+                    harness.write_ber_csv(sys.stdout, rows)
             for p_db, q_best in argmin_q.items():
                 print(f"P = {p_db:.2f} dB: analytical BER minimized at q = {q_best:.2f}",
                       file=sys.stderr)

@@ -10,9 +10,11 @@ the children c of ``trial_seed_sequence(...).spawn(7)``, bit for bit.  They
 are not built that way: the children's state words are computed from the
 parent's entropy pool with numpy's SeedSequence hash, and each PCG64 seeds
 itself from them, at under a third of the cost of spawning.  Trials run
-in order on the calling thread, in fixed-size batches; the sequential
-stopping rule is evaluated only at batch boundaries, which keeps the set
-of executed trials deterministic.  ``ExperimentConfig.workers`` is
+in order on the calling thread, in batches of 32; the stop rule
+(``min_bit_errors`` errors over at least 48 error-bearing trials, for both
+combiners) is evaluated only at batch boundaries, which keeps the set of
+executed trials deterministic, and a point the symbol budget ends first
+carries a low-confidence warning.  ``ExperimentConfig.workers`` is
 accepted and validated but does not change how trials run: a trial is
 mostly short numpy calls that hold the interpreter lock, and a thread pool
 over trials measured slower than one thread at every worker count.
@@ -33,6 +35,7 @@ import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import ClassVar
 
 import numpy as np
 
@@ -50,6 +53,10 @@ DEFAULT_SEED = 20260811
 class ExperimentConfig:
     """Settings for one experiment run (dB on the outside, linear inside)."""
 
+    # the stop rule's constants (see simulate_point), not settings
+    batch_trials: ClassVar[int] = 32
+    min_error_trials: ClassVar[int] = 48
+
     modulation: str = "dbpsk"
     power_db: tuple = DEFAULT_POWER_GRID_DB
     q: float = 0.7
@@ -57,12 +64,9 @@ class ExperimentConfig:
     sweep_power_db: tuple = DEFAULT_SWEEP_POWERS_DB
     amplification: float | None = None
     normalized_doppler: float = 0.001
-    num_sinusoids: int = 16
     frame_length: int = 500
     frames_per_trial: int = 2
-    batch_trials: int = 32
     min_bit_errors: int = 200
-    min_error_trials: int = 48
     max_symbols: int = 20_000_000
     seed: int = DEFAULT_SEED
     workers: int = 1
@@ -78,12 +82,10 @@ class ExperimentConfig:
             raise ValueError("q_grid values must lie in (0, 1)")
         if self.min_bit_errors < 100:
             raise ValueError("min_bit_errors must be >= 100")
-        if self.min_error_trials < 1:
-            raise ValueError("min_error_trials must be >= 1")
         if self.frame_length < 2:
             raise ValueError("frame_length must be >= 2")
-        if self.frames_per_trial < 1 or self.batch_trials < 1:
-            raise ValueError("frames_per_trial and batch_trials must be >= 1")
+        if self.frames_per_trial < 1:
+            raise ValueError("frames_per_trial must be >= 1")
         if self.max_symbols < self.frame_length * self.frames_per_trial:
             raise ValueError("max_symbols smaller than a single trial")
         if self.workers < 1:
@@ -98,7 +100,7 @@ class ExperimentConfig:
 
     @cached_property
     def fading(self) -> FadingConfig:
-        return FadingConfig(self.normalized_doppler, self.num_sinusoids)
+        return FadingConfig(self.normalized_doppler)
 
     def profile(self, power_db: float, q: float | None = None) -> PowerProfile:
         return PowerProfile.from_db(power_db, self.q if q is None else q,
@@ -250,12 +252,13 @@ def simulate_point(config: ExperimentConfig, profile: PowerProfile,
                    point_index: int) -> PointEstimate:
     """Paired SC / semi-MRC Monte Carlo at one operating point.
 
-    Runs deterministic batches of trials until both combiners have
-    accumulated ``min_bit_errors`` across at least ``min_error_trials``
-    error-bearing trials, or until the symbol budget is exhausted.  The
-    occupancy floor matters in slow fading: errors arrive in bursts, and
-    the between-trial standard error is only trustworthy once enough
-    independent trials have contributed errors.
+    Runs deterministic batches of ``batch_trials`` trials until both
+    combiners have accumulated ``min_bit_errors`` across at least
+    ``min_error_trials`` error-bearing trials each (``reached_target``), or
+    until the symbol budget is exhausted.  The occupancy floor matters in
+    slow fading: errors arrive in bursts, and the between-trial standard
+    error is only trustworthy once enough independent trials have
+    contributed errors.
     """
     trial_symbols = config.frames_per_trial * config.frame_length
     max_trials = max(1, math.ceil(config.max_symbols / trial_symbols))
@@ -264,7 +267,8 @@ def simulate_point(config: ExperimentConfig, profile: PowerProfile,
     rates_sc = []
     rates_mrc = []
     trial = 0
-    while trial < max_trials:
+    reached_target = False
+    while not reached_target and trial < max_trials:
         stop = min(trial + config.batch_trials, max_trials)
         for t in range(trial, stop):
             e_sc, e_mrc, b = _run_trial(config, profile, point_index, t)
@@ -276,9 +280,8 @@ def simulate_point(config: ExperimentConfig, profile: PowerProfile,
             rates_sc.append(e_sc / b)
             rates_mrc.append(e_mrc / b)
         trial = stop
-        if (min(err_sc, err_mrc) >= config.min_bit_errors
-                and min(occupied_sc, occupied_mrc) >= config.min_error_trials):
-            break
+        reached_target = (min(err_sc, err_mrc) >= config.min_bit_errors
+                          and min(occupied_sc, occupied_mrc) >= config.min_error_trials)
     n = len(rates_sc)
     return PointEstimate(
         ber_sc=err_sc / bits,
@@ -287,7 +290,7 @@ def simulate_point(config: ExperimentConfig, profile: PowerProfile,
         ci_mrc=_halfwidth(err_mrc, bits, rates_mrc, n),
         bits=bits,
         trials=n,
-        reached_target=min(err_sc, err_mrc) >= config.min_bit_errors,
+        reached_target=reached_target,
     )
 
 
@@ -295,7 +298,7 @@ def run_ber_curve(config: ExperimentConfig):
     """BER versus total power for both combiners plus the exact curve.
 
     Returns (points, warnings); a warning is recorded (not raised) for any
-    point whose error target was not reached within the symbol budget.
+    point whose stop rule was not met within the symbol budget.
     """
     mod = config.mod
     points = []
@@ -310,7 +313,8 @@ def run_ber_curve(config: ExperimentConfig):
         if not est.reached_target:
             warnings.append(
                 f"point {p_db:.2f} dB: {config.max_symbols} symbol budget hit "
-                f"before {config.min_bit_errors} errors (low confidence)"
+                f"before {config.min_bit_errors} errors over "
+                f"{config.min_error_trials} error-bearing trials (low confidence)"
             )
         points.append(BerPoint(
             x=p_db,

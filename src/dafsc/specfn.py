@@ -360,7 +360,7 @@ def integrate_theta(f) -> float:
     """
     values = [_panel(f, -math.pi, math.pi)]
     bounds = [(-math.pi, math.pi)]
-    for _ in range(_THETA_MAX_BISECTIONS + 1):
+    while True:
         total = 0.0
         err = 0.0
         for v, e in values:
@@ -368,6 +368,8 @@ def integrate_theta(f) -> float:
             err += e
         if err <= max(_ABSOLUTE_TOLERANCE, _RELATIVE_TOLERANCE * abs(total)):
             return total
+        if len(values) > _THETA_MAX_BISECTIONS:  # one panel more per bisection
+            raise QuadratureConvergenceError(total, err)
         worst = max(range(len(values)), key=lambda i: values[i][1])
         a, b = bounds[worst]
         mid = 0.5 * (a + b)
@@ -375,9 +377,6 @@ def integrate_theta(f) -> float:
         bounds[worst] = (a, mid)
         values.append(_panel(f, mid, b))
         bounds.append((mid, b))
-    total = sum(v for v, _ in values)
-    err = sum(e for _, e in values)
-    raise QuadratureConvergenceError(total, err)
 
 
 __all__ = [

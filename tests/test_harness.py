@@ -1,6 +1,7 @@
 """Harness orchestration: determinism, CSV round-trips, CLI, validation."""
 
 import argparse
+import dataclasses
 import importlib.util
 import io
 import json
@@ -14,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import dafsc
 from dafsc import analysis, cli, harness, specfn
 from dafsc.harness import (
     DEFAULT_SEED,
@@ -37,7 +39,6 @@ FAST_SIM = dict(
     max_symbols=200_000,
     frames_per_trial=2,
     frame_length=250,
-    batch_trials=16,
     seed=321,
 )
 
@@ -126,11 +127,22 @@ class TestExperimentConfig:
         dict(seed=-1),
         dict(normalized_doppler=0.7),
         dict(normalized_doppler=float("nan")),
-        dict(num_sinusoids=4),
     ])
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):
             ExperimentConfig(**kwargs)
+
+    def test_stop_rule_constants_are_not_settings(self):
+        assert {f.name for f in dataclasses.fields(ExperimentConfig)} == {
+            "modulation", "power_db", "q", "q_grid", "sweep_power_db", "amplification",
+            "normalized_doppler", "frame_length", "frames_per_trial", "min_bit_errors",
+            "max_symbols", "seed", "workers", "analytical_only"}
+        cfg = ExperimentConfig()
+        assert (cfg.batch_trials, cfg.min_error_trials) == (32, 48)
+        assert cfg.fading.num_sinusoids == 16
+        for key in ("batch_trials", "min_error_trials", "num_sinusoids"):
+            with pytest.raises(TypeError):
+                ExperimentConfig(**{key: 16})
 
     def test_profile_uses_override_gain(self):
         cfg = ExperimentConfig(amplification=2.5)
@@ -199,6 +211,19 @@ class TestBerCurve:
                                frame_length=250, seed=1)
         _, warnings = run_ber_curve(cfg)
         assert len(warnings) == 1 and "low confidence" in warnings[0]
+
+    def test_budget_ending_below_the_error_trial_floor_warns(self):
+        # 20 trials carry far more than 200 errors, but fewer than 48 of
+        # them carry any, so the budget, not the stop rule, ends the point
+        cfg = ExperimentConfig(power_db=(5.0,), max_symbols=20_000, seed=1)
+        est = simulate_point(cfg, cfg.profile(5.0), 0)
+        assert est.trials == 20 and est.reached_target is False
+        assert min(est.ber_sc, est.ber_mrc) * est.bits >= cfg.min_bit_errors
+        _, warnings = run_ber_curve(cfg)
+        assert len(warnings) == 1 and "low confidence" in warnings[0]
+        argv = ["ber-curve", "--mod", "dbpsk", "--power-db", "5", "--max-symbols",
+                "20000", "--seed", "1", "--strict"]
+        assert cli.main(argv) == 3
 
     def test_paired_combiners_strongly_correlated(self):
         cfg = ExperimentConfig(**FAST_SIM)
@@ -293,7 +318,7 @@ class TestPerTrialCallPattern:
         for name, attr in [("seed", "trial_seed_sequence"), ("fading", "generate_fading"),
                            ("noise", "generate_awgn"), ("chain", "chain_error_counts")]:
             monkeypatch.setattr(harness, attr, counting(name, getattr(harness, attr)))
-        cfg = ExperimentConfig(modulation="dqpsk", frame_length=20, batch_trials=4,
+        cfg = ExperimentConfig(modulation="dqpsk", frame_length=20,
                                max_symbols=400, seed=11)
         est = simulate_point(cfg, cfg.profile(5.0), 2)
         assert est.trials == 10
@@ -490,6 +515,15 @@ class TestConfigFile:
         with pytest.raises(ValueError):
             cli.load_config_file(str(path))
 
+    @pytest.mark.parametrize("key", ["batch_trials", "min_error_trials",
+                                     "num_sinusoids"])
+    def test_stop_rule_constant_key_rejected(self, key, tmp_path, capsys):
+        path = tmp_path / "exp.cfg"
+        path.write_text(f"power_db = 10\nanalytical_only = true\n{key} = 16\n")
+        assert cli.main(["ber-curve", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "unknown key" in err
+
     @pytest.mark.parametrize("word,value", [
         ("1", True), ("TRUE", True), ("Yes", True), ("on", True),
         ("0", False), ("false", False), ("NO", False), ("Off", False)])
@@ -636,6 +670,16 @@ class TestCli:
             assert code == 0
             assert [r.x for r in read_ber_csv(want)] == [0.5, 0.7]
 
+    def test_power_sweep_several_powers_need_out(self, monkeypatch, capsys):
+        # stdout holds one CSV, which has no power column
+        def no_work(config):
+            raise AssertionError("the sweep ran")
+        monkeypatch.setattr(harness, "run_power_allocation_sweep", no_work)
+        code = cli.main(["power-sweep", "--power-db", "10,20", "--q-grid", "0.5,0.7"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+
     def test_power_sweep_honours_power_db(self, capsys):
         code = cli.main(["power-sweep", "--power-db", "10", "--q-grid", "0.5,0.7"])
         assert code == 0
@@ -695,6 +739,20 @@ class TestCli:
                 args = cli.build_parser().parse_args(argv)
                 cli._build_config(args)
 
+    def test_benchmark_child_reads_what_exists(self):
+        # the traced benchmark run wraps these functions by name and reads
+        # these attributes, from its own script
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
+        spec = importlib.util.spec_from_file_location("perfbench_child", path)
+        child = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(child)
+        for _, module_name, name in child.TRACED:
+            assert callable(getattr(importlib.import_module(module_name), name))
+        config = ExperimentConfig()
+        assert (config.min_bit_errors, config.min_error_trials) == (200, 48)
+        assert dafsc.FadingConfig().num_sinusoids == 16
+        assert isinstance(dafsc.BACKEND, str) and isinstance(dafsc.HAS_NUMBA, bool)
+
     def test_import_leaves_scipy_and_reference_tables_unloaded(self):
         # scipy.integrate alone takes longer to import than the whole package
         src = Path(__file__).resolve().parents[1] / "src"
@@ -731,6 +789,16 @@ class TestCli:
         assert capsys.readouterr().out == ""
         assert out.read_bytes() == printed.encode()
         assert len(printed.splitlines()) == 1 + 3 * 5
+
+    def test_ber_curve_out_matches_stdout(self, tmp_path, capsys):
+        argv = ["ber-curve", "--analytical-only", "--power-db", "10,20"]
+        assert cli.main(argv) == 0
+        printed = capsys.readouterr().out
+        out = tmp_path / "c.csv"
+        assert cli.main(argv + ["--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert out.read_bytes() == printed.encode()
+        assert len(printed.splitlines()) == 1 + 2
 
     def test_validate_json_report(self, tmp_path, capsys):
         out = tmp_path / "report.json"

@@ -332,6 +332,32 @@ class TestIntegrateTheta:
         assert integrate_theta(spiky) == pytest.approx(
             0.02 * math.atan(100.0 * math.pi), rel=1e-10)
 
+    def test_budget_ends_at_the_last_checked_state(self):
+        calls = []
+
+        def staircase(th):
+            calls.append(th.size)
+            return np.floor(40.0 * th + 0.3)
+
+        with pytest.raises(QuadratureConvergenceError) as info:
+            integrate_theta(staircase)
+        # 500 bisections leave 501 panels from 1 + 2 * 500 panel rules, each
+        # one 10-node and one 21-node call
+        assert calls == [10, 21] * 1001
+        # that state, bisected in the same order: worst panel first, its left
+        # half in place and its right half appended
+        bounds = [(-math.pi, math.pi)]
+        values = [specfn._panel(staircase, -math.pi, math.pi)]
+        for _ in range(500):
+            worst = max(range(len(values)), key=lambda i: values[i][1])
+            a, b = bounds[worst]
+            mid = 0.5 * (a + b)
+            bounds[worst], values[worst] = (a, mid), specfn._panel(staircase, a, mid)
+            bounds.append((mid, b))
+            values.append(specfn._panel(staircase, mid, b))
+        assert info.value.estimate == sum(v for v, _ in values)
+        assert info.value.error_estimate == sum(e for _, e in values)
+
 
 class TestIntegratePeriodic:
     def test_constant_exact(self):
