@@ -2,7 +2,8 @@
 analytical engine, with post-detection selection combining and fixed-weight
 (semi-MRC) combining at the destination.
 
-The package splits into: special functions and quadrature (``specfn``),
+The package splits into: the special functions the closed forms need
+(scaled E1 and K1, 1 - x K1, J0) and quadrature (``specfn``),
 correlated Rayleigh fading and noise generation (``fading``), the
 transmit/relay/receive chain (``phy``), closed-form BER / outage analysis
 (``analysis``), experiment orchestration and CSV emission (``harness``), the
@@ -35,8 +36,6 @@ from .phy import (
 from .specfn import (
     QuadratureConvergenceError,
     bessel_j0,
-    bessel_k1,
-    exp_integral_e1,
     integrate_theta,
     scaled_e1,
 )
@@ -72,8 +71,6 @@ __all__ = [
     "semi_mrc_combine",
     "QuadratureConvergenceError",
     "bessel_j0",
-    "bessel_k1",
-    "exp_integral_e1",
     "integrate_theta",
     "scaled_e1",
     "__version__",

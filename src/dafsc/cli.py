@@ -135,7 +135,9 @@ def build_parser() -> _Parser:
     _add_flags(ber, *_FLAGS)
 
     sweep = subs.add_parser("power-sweep", help="analytical BER vs allocation q")
-    _add_flags(sweep, "--config", "--mod", "--amp", "--out")
+    _add_flags(sweep, "--config", "--mod", "--amp")
+    sweep.add_argument("--out", metavar="STEM", help="output file stem: one "
+                       "STEM_P<power>dB.EXT per power (stdout only for a single power)")
     sweep.add_argument("--power-db", dest="sweep_power_db",
                        help="powers swept, list or start:stop:step (dB); one table per power")
     sweep.add_argument("--q-grid", help="q grid, list or start:stop:step")
@@ -170,7 +172,7 @@ def main(argv=None) -> int:
         if args.command == "validate":
             report = validate.run_validation_suite(
                 seed=args.seed if args.seed is not None else harness.DEFAULT_SEED)
-            with harness._opened(args.out or sys.stdout, "w") as fh:
+            with harness._opened(args.out or sys.stdout) as fh:
                 fh.write(json.dumps(report, indent=2) + "\n")
             for check in report["checks"]:
                 status = "PASS" if check["passed"] else "FAIL"

@@ -1,16 +1,16 @@
 """Correlated Rayleigh fading and complex white Gaussian noise generation.
 
-Channel taps are produced by a sum-of-sinusoids synthesizer with randomized
-arrival angles and phases, giving zero-mean, unit-variance complex Gaussian
-processes whose autocorrelation follows the classical land-mobile model
-J0(2*pi*fd*Ts*n).  Independent generator streams give statistically
+Channel taps are produced by a sum-of-sinusoids synthesizer (16 sinusoids
+per quadrature arm) with randomized arrival angles and phases, giving
+zero-mean, unit-variance complex Gaussian processes whose autocorrelation
+follows the classical land-mobile model J0(2*pi*fd*Ts*n).  Independent generator streams give statistically
 independent processes, which is how the source-destination, source-relay
 and relay-destination links are kept spatially uncorrelated.
 """
 
-import functools
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -20,38 +20,31 @@ class FadingConfig:
     """Parameters of one fading process.
 
     ``normalized_doppler`` is the Doppler shift times the symbol period
-    (cycles per sample); zero gives a static channel.  ``num_sinusoids``
-    is the sum-of-sinusoids order per quadrature arm.
+    (cycles per sample); zero gives a static channel.  ``num_sinusoids``,
+    the sum-of-sinusoids order per quadrature arm, is a constant, not a
+    setting.
     """
 
+    num_sinusoids: ClassVar[int] = 16
     normalized_doppler: float = 0.001
-    num_sinusoids: int = 16
 
     def __post_init__(self):
         if not (0.0 <= self.normalized_doppler < 0.5):
             raise ValueError("normalized_doppler must lie in [0, 0.5)")
-        if self.num_sinusoids < 8:
-            raise ValueError("num_sinusoids must be >= 8")
 
 
-@functools.lru_cache(maxsize=8)
-def _alpha_offsets(num_sinusoids):
-    # 2 pi n - pi for n = 1..N, read-only; a config has one N
-    n = np.arange(1, num_sinusoids + 1, dtype=np.float64)
-    offsets = 2.0 * np.pi * n - np.pi
-    offsets.flags.writeable = False
-    return offsets
+# 2 pi n - pi for n = 1..N, read-only
+_ALPHA_OFFSETS = 2.0 * np.pi * np.arange(1.0, FadingConfig.num_sinusoids + 1.0) - np.pi
+_ALPHA_OFFSETS.flags.writeable = False
 
 
-def _draw_angles(num_sinusoids, rng):
+def _draw_angles(rng):
     # theta, then the N phases phi, then the N phases psi: one draw gives
     # the values and stream position of three consecutive ones
-    u = rng.uniform(-np.pi, np.pi, 2 * num_sinusoids + 1)
-    theta = u[0]
-    phi = u[1:num_sinusoids + 1]
-    psi = u[num_sinusoids + 1:]
-    alpha = (_alpha_offsets(num_sinusoids) + theta) / (4.0 * num_sinusoids)
-    return np.cos(alpha), np.sin(alpha), phi, psi
+    n = FadingConfig.num_sinusoids
+    u = rng.uniform(-np.pi, np.pi, 2 * n + 1)
+    alpha = (_ALPHA_OFFSETS + u[0]) / (4.0 * n)
+    return np.cos(alpha), np.sin(alpha), u[1:n + 1], u[n + 1:]
 
 
 def generate_fading(config: FadingConfig, length: int,
@@ -79,7 +72,7 @@ def generate_fading(config: FadingConfig, length: int,
     if length < 1:
         raise ValueError("length must be >= 1")
     n = config.num_sinusoids
-    cos_alpha, sin_alpha, phi, psi = _draw_angles(n, rng)
+    cos_alpha, sin_alpha, phi, psi = _draw_angles(rng)
     w_d = 2.0 * np.pi * config.normalized_doppler
     scale = 1.0 / math.sqrt(n)
     if w_d == 0.0:

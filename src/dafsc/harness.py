@@ -255,13 +255,14 @@ def simulate_point(config: ExperimentConfig, profile: PowerProfile,
     Runs deterministic batches of ``batch_trials`` trials until both
     combiners have accumulated ``min_bit_errors`` across at least
     ``min_error_trials`` error-bearing trials each (``reached_target``), or
-    until the symbol budget is exhausted.  The occupancy floor matters in
-    slow fading: errors arrive in bursts, and the between-trial standard
-    error is only trustworthy once enough independent trials have
-    contributed errors.
+    until the symbol budget is exhausted: at most ``max_symbols //
+    trial_symbols`` whole trials run.  The occupancy floor matters in slow
+    fading: errors arrive in bursts, and the between-trial standard error
+    is only trustworthy once enough independent trials have contributed
+    errors.
     """
     trial_symbols = config.frames_per_trial * config.frame_length
-    max_trials = max(1, math.ceil(config.max_symbols / trial_symbols))
+    max_trials = config.max_symbols // trial_symbols
     err_sc = err_mrc = bits = 0
     occupied_sc = occupied_mrc = 0
     rates_sc = []
@@ -410,18 +411,18 @@ def _fmt_prob(v) -> str:
 
 
 @contextmanager
-def _opened(path_or_file, mode):
-    """Yield an open file object as is; open a path (no newline
-    translation) for the block and close it afterwards."""
-    if hasattr(path_or_file, "read" if mode == "r" else "write"):
+def _opened(path_or_file):
+    """Yield a writable file object as is; open a path for writing (no
+    newline translation) for the block and close it afterwards."""
+    if hasattr(path_or_file, "write"):
         yield path_or_file
     else:
-        with open(path_or_file, mode, newline="") as fh:
+        with open(path_or_file, "w", newline="") as fh:
             yield fh
 
 
 def write_ber_csv(path_or_file, points) -> None:
-    with _opened(path_or_file, "w") as fh:
+    with _opened(path_or_file) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(BER_CSV_HEADER)
         for p in points:
@@ -436,27 +437,6 @@ def write_ber_csv(path_or_file, points) -> None:
             ])
 
 
-def read_ber_csv(path_or_file):
-    with _opened(path_or_file, "r") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != BER_CSV_HEADER:
-            raise ValueError(f"unexpected CSV header: {header}")
-        points = []
-        for row in reader:
-            opt = lambda s: None if s == "" else float(s)
-            points.append(BerPoint(
-                x=float(row[0]),
-                analytical_ber=float(row[1]),
-                simulated_ber_sc=opt(row[2]),
-                ci_halfwidth_sc=opt(row[3]),
-                simulated_ber_mrc=opt(row[4]),
-                ci_halfwidth_mrc=opt(row[5]),
-                bits_simulated=int(row[6]),
-            ))
-        return points
-
-
 def ber_csv_text(points) -> str:
     buf = io.StringIO()
     write_ber_csv(buf, points)
@@ -469,7 +449,7 @@ def write_outage_csv(path_or_file, grid) -> None:
     once, by position, so -0.0 keeps its sign; no cell needs CSV quoting."""
     g_cells = [f"{g:.2f}," for g in grid.gamma_th_db]
     no_mc = [f",,,{grid.draws}\n"] * len(g_cells)
-    with _opened(path_or_file, "w") as fh:
+    with _opened(path_or_file) as fh:
         fh.write(",".join(OUTAGE_CSV_HEADER) + "\n")
         for i, p_db in enumerate(grid.power_db):
             lead = f"{p_db:.2f},"
@@ -495,7 +475,6 @@ __all__ = [
     "run_power_allocation_sweep",
     "run_outage_curve",
     "write_ber_csv",
-    "read_ber_csv",
     "ber_csv_text",
     "write_outage_csv",
     "BER_CSV_HEADER",

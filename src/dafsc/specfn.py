@@ -1,10 +1,13 @@
 """Special functions and deterministic quadrature for the analytical engine.
 
-Provides the exponential integral E1 (plain and exponentially scaled), the
-first-order modified Bessel function of the second kind K1, the Bessel
-function J0, a periodic trapezoid integrator over [-pi, pi) for the
+Provides the exponentially scaled exponential integral exp(x) E1(x) and
+modified Bessel function exp(x) K1(x), the complement 1 - x K1(x), the
+Bessel function J0, a periodic trapezoid integrator over [-pi, pi) for the
 analytic periodic integrands of the BER engine, and a deterministic
 adaptive Gauss-Legendre integrator for general integrands on [-pi, pi].
+The scaled forms are the ones the engine needs: the BER integrand pairs E1
+with its inverse exponential, and the outage closed form reads K1 only
+through 1 - x K1(x).
 Both integrators work to one fixed tolerance, relative 1e-10 or absolute
 1e-14, within a fixed budget.
 
@@ -184,24 +187,14 @@ def _evaluate(x, name, split, below, above):
     return float(out) if arr.ndim == 0 else out
 
 
-def exp_integral_e1(x):
-    """Exponential integral E1(x) = int_x^inf exp(-t)/t dt for x > 0.
-
-    Evaluated by the convergent series for x <= 2 and a continued
-    fraction for x > 2; relative error is a few ulp across
-    [1e-12, 700].  Returns 0.0 once exp(-x) underflows.  Accepts scalars
-    or arrays; raises ``ValueError`` for non-positive input.
-    """
-    return _evaluate(x, "exp_integral_e1", _E1_SPLIT, _e1_series,
-                     lambda v: np.exp(-v) * _e1_cf_scaled(v))
-
-
 def scaled_e1(x):
     """Exponentially scaled exponential integral exp(x) * E1(x), x > 0.
 
-    Never overflows; for large x it behaves like 1/(x+1).  This is the
-    form used inside the bit-error-rate integrand, where the raw product
-    would pair a huge E1 with a unit-sized exponential.
+    The convergent series for x <= 2, a continued fraction above; relative
+    error a few ulp across [1e-12, 700].  Never overflows; for large x it
+    behaves like 1/(x+1).  This is the form used inside the bit-error-rate
+    integrand, where the raw product would pair a huge E1 with a unit-sized
+    exponential.
     """
     return _evaluate(x, "scaled_e1", _E1_SPLIT,
                      lambda v: np.exp(v) * _e1_series(v), _e1_cf_scaled)
@@ -215,17 +208,6 @@ def bessel_k1_scaled(x):
     """
     return _evaluate(x, "bessel_k1_scaled", _K1_SPLIT,
                      lambda v: np.exp(v) * _k1_series(v), _k1_scaled_trapezoid)
-
-
-def bessel_k1(x):
-    """Modified Bessel function of the second kind K1(x) for x > 0.
-
-    Ascending series below x = 5.5, exponentially convergent trapezoid
-    quadrature of the cosh-kernel integral representation above;
-    relative error <= 1e-10 on [1e-10, 700].
-    """
-    return _evaluate(x, "bessel_k1", _K1_SPLIT, _k1_series,
-                     lambda v: np.exp(-v) * _k1_scaled_trapezoid(v))
 
 
 def bessel_k1_complement(x):
@@ -381,9 +363,7 @@ def integrate_theta(f) -> float:
 
 __all__ = [
     "QuadratureConvergenceError",
-    "exp_integral_e1",
     "scaled_e1",
-    "bessel_k1",
     "bessel_k1_scaled",
     "bessel_k1_complement",
     "bessel_j0",

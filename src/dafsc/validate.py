@@ -79,15 +79,16 @@ def run_validation_suite(seed: int = DEFAULT_SEED):
         record(name, observed <= bound_value, observed, bound_text)
 
     rel = lambda got, want: float(np.max(np.abs(got - want) / np.abs(want)))
-    add("specfn.e1_grid",
-        rel(specfn.exp_integral_e1(tables.E1_X), tables.E1_VALUES),
-        1e-12, "max rel err <= 1e-12")
+    # the kernels the closed forms call, each branch of each on the grid
     add("specfn.scaled_e1_grid",
         rel(specfn.scaled_e1(tables.E1_X), tables.SCALED_E1_VALUES),
         1e-10, "max rel err <= 1e-10")
     add("specfn.k1_grid",
-        rel(specfn.bessel_k1(tables.K1_X), tables.K1_VALUES),
+        rel(specfn.bessel_k1_scaled(tables.K1_X), tables.K1_VALUES * np.exp(tables.K1_X)),
         1e-10, "max rel err <= 1e-10")
+    add("specfn.k1_complement_grid",
+        rel(specfn.bessel_k1_complement(tables.K1_X), tables.K1_COMPLEMENT_VALUES),
+        1e-13, "max rel err <= 1e-13")
     add("specfn.j0_grid",
         float(np.max(np.abs(specfn.bessel_j0(tables.J0_X) - tables.J0_VALUES))),
         1e-10, "max abs err <= 1e-10")

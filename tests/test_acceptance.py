@@ -200,11 +200,14 @@ class TestCriterion6OutageClosedForm:
 class TestCriterion7SpecialFunctions:
     def test_oracle_grids(self):
         rel = lambda got, want: float(np.max(np.abs(got - want) / np.abs(want)))
+        # the kernels the closed forms call
         checks = {
-            "E1": (rel(specfn.exp_integral_e1(tables.E1_X), tables.E1_VALUES), 1e-12),
             "scaled E1": (rel(specfn.scaled_e1(tables.E1_X),
                               tables.SCALED_E1_VALUES), 1e-10),
-            "K1": (rel(specfn.bessel_k1(tables.K1_X), tables.K1_VALUES), 1e-10),
+            "scaled K1": (rel(specfn.bessel_k1_scaled(tables.K1_X),
+                              tables.K1_VALUES * np.exp(tables.K1_X)), 1e-10),
+            "1 - x K1": (rel(specfn.bessel_k1_complement(tables.K1_X),
+                             tables.K1_COMPLEMENT_VALUES), 1e-13),
             "J0": (float(np.max(np.abs(specfn.bessel_j0(tables.J0_X)
                                        - tables.J0_VALUES))), 1e-10),
         }

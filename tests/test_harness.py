@@ -1,6 +1,7 @@
 """Harness orchestration: determinism, CSV round-trips, CLI, validation."""
 
 import argparse
+import csv
 import dataclasses
 import importlib.util
 import io
@@ -22,7 +23,6 @@ from dafsc.harness import (
     BerPoint,
     ExperimentConfig,
     ber_csv_text,
-    read_ber_csv,
     run_ber_curve,
     run_outage_curve,
     run_power_allocation_sweep,
@@ -225,6 +225,16 @@ class TestBerCurve:
                 "20000", "--seed", "1", "--strict"]
         assert cli.main(argv) == 3
 
+    def test_budget_is_never_exceeded(self, capsys):
+        # 1,500 symbols allow one whole 1,000-symbol trial, not two
+        argv = ["ber-curve", "--power-db", "30", "--max-symbols", "1500", "--seed", "1"]
+        assert cli.main(argv) == 0
+        captured = capsys.readouterr()
+        assert [p.bits_simulated for p in parse_ber_csv(captured.out)] == [1000]
+        assert "1500 symbol budget hit" in captured.err
+        cfg = ExperimentConfig(power_db=(30.0,), max_symbols=1999, seed=1)
+        assert simulate_point(cfg, cfg.profile(30.0), 0).trials == 1
+
     def test_paired_combiners_strongly_correlated(self):
         cfg = ExperimentConfig(**FAST_SIM)
         profile = cfg.profile(10.0)
@@ -398,20 +408,31 @@ class TestOutageCurve:
                       <= 3.0 * (grid.ci_halfwidth / 1.96))
 
 
+def parse_ber_csv(text):
+    """The rows of a BER CSV as ``BerPoint``s, blank cells as None."""
+    header, *rows = csv.reader(io.StringIO(text))
+    assert header == harness.BER_CSV_HEADER
+    opt = lambda s: None if s == "" else float(s)
+    return [BerPoint(x=float(x), analytical_ber=float(ana), simulated_ber_sc=opt(sc),
+                     ci_halfwidth_sc=opt(ci_sc), simulated_ber_mrc=opt(mrc),
+                     ci_halfwidth_mrc=opt(ci_mrc), bits_simulated=int(bits))
+            for x, ana, sc, ci_sc, mrc, ci_mrc, bits in rows]
+
+
 class TestCsv:
     def test_round_trip_bit_exact(self):
         cfg = ExperimentConfig(**FAST_SIM)
         points, _ = run_ber_curve(cfg)
         text = ber_csv_text(points)
-        parsed = read_ber_csv(io.StringIO(text))
+        parsed = parse_ber_csv(text)
         assert ber_csv_text(parsed) == text
-        reparsed = read_ber_csv(io.StringIO(ber_csv_text(parsed)))
+        reparsed = parse_ber_csv(ber_csv_text(parsed))
         assert reparsed == parsed
 
     def test_round_trip_with_blanks(self):
         points = [BerPoint(x=10.0, analytical_ber=1.25e-3)]
         text = ber_csv_text(points)
-        parsed = read_ber_csv(io.StringIO(text))
+        parsed = parse_ber_csv(text)
         assert parsed[0].simulated_ber_sc is None
         assert ber_csv_text(parsed) == text
 
@@ -425,7 +446,7 @@ class TestCsv:
                            ci_halfwidth_mrc=0.01, bits_simulated=1000)]
         path = tmp_path / "curve.csv"
         write_ber_csv(path, points)
-        assert read_ber_csv(path) == read_ber_csv(io.StringIO(path.read_text()))
+        assert path.read_bytes() == ber_csv_text(points).encode()
 
     @pytest.mark.parametrize("name", sorted(GOLDEN_OUTAGE_CSV))
     def test_outage_csv_bytes(self, name, tmp_path):
@@ -465,6 +486,11 @@ class TestCsv:
         assert len(lines) == 2
 
 
+# the checks a 1 % error in the scaled K1 fails
+TAMPERED_K1_FAILS = {"specfn.k1_grid", "specfn.k1_complement_grid",
+                     "outage.closed_form_vs_quadrature"}
+
+
 class TestValidationSuite:
     def test_fresh_run_passes(self):
         report = run_validation_suite()
@@ -472,12 +498,26 @@ class TestValidationSuite:
         assert report["passed"], f"failed checks: {failed}"
 
     def test_tampered_k1_detected(self, monkeypatch):
-        true_k1 = specfn.bessel_k1
-        monkeypatch.setattr(specfn, "bessel_k1", lambda x: 1.01 * true_k1(x))
+        # the scaled K1 is checked on its grid and, through 1 - x K1 above
+        # x = 2, on the complement grid and in every outage value
+        true_k1 = specfn.bessel_k1_scaled
+        monkeypatch.setattr(specfn, "bessel_k1_scaled", lambda x: 1.01 * true_k1(x))
         report = run_validation_suite()
         assert not report["passed"]
         failing = {c["name"] for c in report["checks"] if not c["passed"]}
-        assert failing == {"specfn.k1_grid"}
+        assert failing == TAMPERED_K1_FAILS
+
+    def test_check_names(self):
+        # the special-function checks cover exactly the kernels the closed
+        # forms call: scaled E1, scaled K1 and 1 - x K1 (and J0)
+        report = run_validation_suite()
+        assert [c["name"] for c in report["checks"]] == [
+            "specfn.scaled_e1_grid", "specfn.k1_grid", "specfn.k1_complement_grid",
+            "specfn.j0_grid", "quadrature.closed_form",
+            "ber.closed_form_vs_2d_quadrature", "fading.variance",
+            "fading.autocorrelation", "fading.slow_fading_step",
+            "fading.cross_independence", "diversity.approx_slope",
+            "diversity.approx_below_exact", "outage.closed_form_vs_quadrature"]
 
     def test_tampered_periodic_rule_detected(self, monkeypatch):
         true_rule = specfn.integrate_periodic
@@ -590,7 +630,7 @@ class TestCli:
         code = cli.main(["ber-curve", "--mod", "dbpsk", "--power-db", "10,20",
                          "--analytical-only", "--out", str(out)])
         assert code == 0
-        points = read_ber_csv(out)
+        points = parse_ber_csv(out.read_text())
         assert len(points) == 2 and points[0].simulated_ber_sc is None
 
     def test_flags_override_config_file(self, tmp_path):
@@ -601,7 +641,7 @@ class TestCli:
         code = cli.main(["ber-curve", "--config", str(cfgfile),
                          "--mod", "dqpsk", "--out", str(out)])
         assert code == 0
-        points = read_ber_csv(out)
+        points = parse_ber_csv(out.read_text())
         # q from file (0.5), modulation overridden to dqpsk
         from dafsc.analysis import analytical_ber
         from dafsc.phy import ModulationParams, PowerProfile
@@ -655,7 +695,7 @@ class TestCli:
                          "--q-grid", "0.5:0.9:0.1", "--out", str(out)])
         assert code == 0
         for p in (15.0, 20.0):
-            rows = read_ber_csv(tmp_path / f"sweep_P{p:.2f}dB.csv")
+            rows = parse_ber_csv((tmp_path / f"sweep_P{p:.2f}dB.csv").read_text())
             assert [r.x for r in rows] == [0.5, 0.6, 0.7, 0.8, 0.9]
         err = capsys.readouterr().err
         assert "minimized at" in err
@@ -668,7 +708,7 @@ class TestCli:
             code = cli.main(["power-sweep", "--mod", "dbpsk", "--power-db", "15",
                              "--q-grid", "0.5,0.7", "--out", out])
             assert code == 0
-            assert [r.x for r in read_ber_csv(want)] == [0.5, 0.7]
+            assert [r.x for r in parse_ber_csv(want.read_text())] == [0.5, 0.7]
 
     def test_power_sweep_several_powers_need_out(self, monkeypatch, capsys):
         # stdout holds one CSV, which has no power column
@@ -679,6 +719,15 @@ class TestCli:
         assert code == 1
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error: ")
+
+    def test_power_sweep_out_help_names_the_stem(self, capsys):
+        # power-sweep writes one file per power, named from --out
+        with pytest.raises(SystemExit) as info:
+            cli.main(["power-sweep", "--help"])
+        assert info.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        assert "--out STEM output file stem: one STEM_P<power>dB.EXT per power" in text
+        assert "output CSV path" not in text
 
     def test_power_sweep_honours_power_db(self, capsys):
         code = cli.main(["power-sweep", "--power-db", "10", "--q-grid", "0.5,0.7"])
@@ -808,7 +857,9 @@ class TestCli:
         assert report["passed"] and len(report["checks"]) >= 10
 
     def test_validate_failure_exit_code(self, tmp_path, monkeypatch):
-        true_k1 = specfn.bessel_k1
-        monkeypatch.setattr(specfn, "bessel_k1", lambda x: 1.01 * true_k1(x))
+        true_k1 = specfn.bessel_k1_scaled
+        monkeypatch.setattr(specfn, "bessel_k1_scaled", lambda x: 1.01 * true_k1(x))
         out = tmp_path / "report.json"
         assert cli.main(["validate", "--out", str(out)]) == 2
+        report = json.loads(out.read_text())
+        assert {c["name"] for c in report["checks"] if not c["passed"]} == TAMPERED_K1_FAILS

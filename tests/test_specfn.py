@@ -11,10 +11,8 @@ from dafsc.specfn import (
     PERIODIC_NODE_SETS,
     QuadratureConvergenceError,
     bessel_j0,
-    bessel_k1,
     bessel_k1_complement,
     bessel_k1_scaled,
-    exp_integral_e1,
     integrate_periodic,
     integrate_periodic_sets,
     integrate_theta,
@@ -75,49 +73,54 @@ def e1_series_oracle(x: float) -> float:
 
 
 class TestExpIntegral:
+    # E1 itself through exp(-x) * scaled_e1(x): the scaled form runs both
+    # E1 kernels, the series up to x = 2 and the continued fraction above
     def test_series_oracle_spot_values(self):
         for x in (1.0, 0.5, 1e-4, 1e-8):
-            assert exp_integral_e1(x) == pytest.approx(e1_series_oracle(x), rel=1e-13)
+            assert math.exp(-x) * scaled_e1(x) == pytest.approx(e1_series_oracle(x),
+                                                                rel=1e-13)
 
     def test_known_value_at_one(self):
-        assert exp_integral_e1(1.0) == pytest.approx(0.21938393439552027, rel=1e-13)
+        assert math.exp(-1.0) * scaled_e1(1.0) == pytest.approx(0.21938393439552027,
+                                                                rel=1e-13)
 
     def test_small_argument_log_dominated(self):
-        assert exp_integral_e1(1e-8) == pytest.approx(17.843465089050833, rel=1e-13)
+        assert math.exp(-1e-8) * scaled_e1(1e-8) == pytest.approx(17.843465089050833,
+                                                                  rel=1e-13)
 
     def test_asymptotic_product(self):
         # x * e^x * E1(x) -> 1
         assert 500.0 * scaled_e1(500.0) == pytest.approx(1.0, abs=1e-2)
 
-    def test_underflow_returns_zero(self):
-        assert exp_integral_e1(800.0) == 0.0
-
     def test_frozen_oracle_grid(self):
-        got = exp_integral_e1(tables.E1_X)
+        got = np.exp(-tables.E1_X) * scaled_e1(tables.E1_X)
         rel = np.abs(got - tables.E1_VALUES) / np.abs(tables.E1_VALUES)
         assert rel.max() <= 1e-12
 
     def test_domain_error(self):
         with pytest.raises(ValueError):
-            exp_integral_e1(0.0)
+            scaled_e1(0.0)
         with pytest.raises(ValueError):
-            exp_integral_e1(-1.0)
+            scaled_e1(-1.0)
         with pytest.raises(ValueError):
-            exp_integral_e1(np.array([1.0, -2.0]))
+            scaled_e1(np.array([1.0, -2.0]))
 
     def test_strictly_decreasing_positive(self):
+        # (e^x E1)' = e^x E1 - 1/x < 0, and E1 itself decreases faster
         rng = np.random.default_rng(1)
         x = np.sort(10.0 ** rng.uniform(-10, 2, 200))
-        vals = exp_integral_e1(x)
+        vals = scaled_e1(x)
         assert np.all(vals > 0)
         assert np.all(np.diff(vals) < 0)
 
 
 class TestScaledE1:
     def test_matches_product_where_safe(self):
+        from scipy.special import exp1
+
         rng = np.random.default_rng(2)
         x = 10.0 ** rng.uniform(-10, math.log10(300.0), 100)
-        direct = np.exp(x) * exp_integral_e1(x)
+        direct = np.exp(x) * exp1(x)
         assert np.max(np.abs(scaled_e1(x) - direct) / direct) <= 1e-9
 
     def test_large_argument_no_overflow(self):
@@ -129,7 +132,7 @@ class TestScaledE1:
 
     def test_tiny_argument_equals_e1(self):
         # identity up to (e^x - 1) ~ 1e-10
-        assert scaled_e1(1e-10) == pytest.approx(exp_integral_e1(1e-10), rel=1e-9)
+        assert scaled_e1(1e-10) == pytest.approx(e1_series_oracle(1e-10), rel=1e-9)
 
     def test_frozen_oracle_grid(self):
         got = scaled_e1(tables.E1_X)
@@ -142,38 +145,44 @@ class TestScaledE1:
 
 
 class TestBesselK1:
+    # K1 through bessel_k1_scaled, which runs both K1 kernels: the series
+    # up to x = 5.5 and the trapezoid rule above
     def test_small_argument_limit(self):
         # x * K1(x) -> 1
-        assert 1e-8 * bessel_k1(1e-8) == pytest.approx(1.0, abs=1e-6)
+        assert 1e-8 * bessel_k1_scaled(1e-8) == pytest.approx(1.0, abs=1e-6)
 
     def test_known_values(self):
-        assert bessel_k1(1.0) == pytest.approx(0.6019072301972346, rel=1e-11)
-        assert bessel_k1(10.0) == pytest.approx(1.8648773453825585e-05, rel=1e-10)
+        assert bessel_k1_scaled(1.0) == pytest.approx(math.e * 0.6019072301972346, rel=1e-11)
+        assert bessel_k1_scaled(10.0) == pytest.approx(math.exp(10.0) * 1.8648773453825585e-05,
+                                                       rel=1e-10)
 
     def test_frozen_oracle_grid(self):
-        got = bessel_k1(tables.K1_X)
-        rel = np.abs(got - tables.K1_VALUES) / np.abs(tables.K1_VALUES)
-        assert rel.max() <= 1e-10
+        got = bessel_k1_scaled(tables.K1_X)
+        want = tables.K1_VALUES * np.exp(tables.K1_X)
+        assert np.max(np.abs(got - want) / want) <= 1e-10
 
     def test_scaled_variant(self):
+        from scipy.special import k1e
+
         x = np.array([0.1, 1.0, 5.0, 20.0, 700.0])
-        want = bessel_k1(x) * np.exp(x)
+        want = k1e(x)
         got = bessel_k1_scaled(x)
         assert np.max(np.abs(got - want) / want) <= 1e-9
 
     def test_monotone_and_xk1_bounded(self):
+        # e^x K1(x) decreases, and so does K1 itself; x K1(x) falls from 1
         rng = np.random.default_rng(3)
         x = np.sort(10.0 ** rng.uniform(-8, 2.5, 200))
-        vals = bessel_k1(x)
+        vals = bessel_k1_scaled(x)
         assert np.all(vals > 0)
         assert np.all(np.diff(vals) < 0)
-        xk1 = x * vals
+        xk1 = x * np.exp(-x) * vals
         assert np.all(xk1 > 0) and np.all(xk1 <= 1.0 + 1e-12)
         assert np.all(np.diff(xk1) < 1e-12)
 
     def test_domain_error(self):
         with pytest.raises(ValueError):
-            bessel_k1(0.0)
+            bessel_k1_scaled(0.0)
 
 
 def _k1_trapezoid_node_loop(x):
@@ -218,6 +227,11 @@ class TestBesselK1Complement:
         got = bessel_k1_complement(x)
         assert np.max(np.abs(got - want) / want) <= 1e-13
 
+    def test_frozen_oracle_grid(self):
+        got = bessel_k1_complement(tables.K1_X)
+        want = tables.K1_COMPLEMENT_VALUES
+        assert np.max(np.abs(got - want) / want) <= 1e-13
+
     def test_domain_error(self):
         with pytest.raises(ValueError):
             bessel_k1_complement(0.0)
@@ -243,8 +257,7 @@ class TestBesselJ0:
 
 
 class TestArrayEvaluation:
-    FUNCS = [exp_integral_e1, scaled_e1, bessel_k1, bessel_k1_scaled,
-             bessel_k1_complement, bessel_j0]
+    FUNCS = [scaled_e1, bessel_k1_scaled, bessel_k1_complement, bessel_j0]
 
     @pytest.mark.parametrize("func", FUNCS, ids=lambda f: f.__name__)
     def test_shapes(self, func):
@@ -262,11 +275,11 @@ class TestArrayEvaluation:
         # mixed with the frozen grid, at the frozen-table bounds
         x = np.array([row[0] for row in E1_STRADDLE])
         mixed = np.concatenate((x, tables.E1_X))
-        e1 = exp_integral_e1(mixed)
         se1 = scaled_e1(mixed)
         want_e1 = np.concatenate(([row[1] for row in E1_STRADDLE], tables.E1_VALUES))
         want_se1 = np.concatenate(([row[2] for row in E1_STRADDLE],
                                    tables.SCALED_E1_VALUES))
+        e1 = np.exp(-mixed) * se1
         assert np.max(np.abs(e1 - want_e1) / want_e1) <= 1e-12
         assert np.max(np.abs(se1 - want_se1) / want_se1) <= 1e-10
 
@@ -274,13 +287,11 @@ class TestArrayEvaluation:
         x = np.array([row[0] for row in K1_STRADDLE])
         mixed = np.concatenate((x, tables.K1_X)).reshape(-1, 1)
         want = np.concatenate(([row[1] for row in K1_STRADDLE], tables.K1_VALUES))
-        got = bessel_k1(mixed)[:, 0]
+        got = np.exp(-mixed[:, 0]) * bessel_k1_scaled(mixed)[:, 0]
         assert np.max(np.abs(got - want) / want) <= 1e-10
-        scaled = bessel_k1_scaled(mixed)[:, 0]
-        assert np.max(np.abs(scaled - want * np.exp(mixed[:, 0])) / scaled) <= 1e-10
 
     def test_empty_input(self):
-        for func in self.FUNCS[:5]:
+        for func in self.FUNCS[:3]:
             assert func(np.array([])).shape == (0,)
 
 

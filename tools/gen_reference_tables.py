@@ -12,7 +12,8 @@ oracles evaluated in arbitrary precision (mpmath):
 * modified Bessel K1: the integral representation
   K1(x) = int_0^inf exp(-x*cosh t) * cosh t dt
   evaluated by high-resolution quadrature on a truncated interval whose
-  tail is provably below the target precision.
+  tail is provably below the target precision; its complement
+  1 - x*K1(x) is formed from that value at the same 60 working digits.
 * Bessel J0: the power series  sum_k (-x^2/4)^k / (k!)^2.
 
 Every oracle value is cross-checked against mpmath's own independent
@@ -123,11 +124,14 @@ def main():
     e1_vals = [e1_series(x) for x in e1_x]
     se1_vals = [scaled_e1_oracle(x) for x in e1_x]
     k1_vals = [k1_integral(x) for x in k1_x]
+    mp.mp.dps = 60
+    k1c_vals = [1 - mp.mpf(x) * v for x, v in zip(k1_x, k1_vals)]
     j0_vals = [j0_series(x) for x in j0_x]
 
     crosscheck("E1", e1_x, e1_vals, lambda x: mp.e1(x))
     crosscheck("scaled E1", e1_x, se1_vals, lambda x: mp.exp(x) * mp.e1(x))
     crosscheck("K1", k1_x, k1_vals, lambda x: mp.besselk(1, x))
+    crosscheck("1 - x K1", k1_x, k1c_vals, lambda x: 1 - x * mp.besselk(1, x))
     crosscheck("J0", j0_x, j0_vals, lambda x: mp.besselj(0, x))
 
     mp.mp.dps = 25
@@ -150,6 +154,8 @@ def main():
     out.append(fmt_array("K1_X", [float(x) for x in k1_x]))
     out.append("")
     out.append(fmt_array("K1_VALUES", [float(v) for v in k1_vals]))
+    out.append("")
+    out.append(fmt_array("K1_COMPLEMENT_VALUES", [float(v) for v in k1c_vals]))
     out.append("")
     out.append(fmt_array("J0_X", [float(x) for x in j0_x]))
     out.append("")
