@@ -25,14 +25,7 @@ from .harness import (
     run_outage_curve,
     run_power_allocation_sweep,
 )
-from .phy import (
-    ModulationParams,
-    PowerProfile,
-    differential_encode,
-    min_distance_detect,
-    select_combine,
-    semi_mrc_combine,
-)
+from .phy import ModulationParams, PowerProfile
 from .specfn import (
     QuadratureConvergenceError,
     bessel_j0,
@@ -65,10 +58,6 @@ __all__ = [
     "run_validation_suite",
     "ModulationParams",
     "PowerProfile",
-    "differential_encode",
-    "min_distance_detect",
-    "select_combine",
-    "semi_mrc_combine",
     "QuadratureConvergenceError",
     "bessel_j0",
     "integrate_theta",

@@ -8,8 +8,9 @@ SNR and the (conditionally exponential) relayed-branch SNR, leaving a
 single integral over the angle variable.  That integrand is periodic and
 analytic in the angle, so the periodic trapezoid rule
 (:func:`~dafsc.specfn.integrate_periodic_sets`) converges geometrically to
-its fixed tolerance (relative 1e-10); a DQPSK point takes 64 or 128 nodes.  The angular weights depend only on the
-modulation and the nodes, so they are tabulated once per node set.
+its fixed tolerance (relative 1e-10); a DQPSK point takes 64 or 128 nodes.
+The angular weights depend only on the modulation and the nodes, so they
+are tabulated once per node set.
 
 The relayed-branch average introduces exponential-integral terms; they are
 evaluated through the exponentially scaled E1, one array call per set of

@@ -7,12 +7,12 @@ consecutive received samples on each branch, combines them either by
 magnitude selection or by fixed-weight (semi-MRC) combining, and detects
 with minimum Euclidean distance over the constellation.
 
-The fused chain (:func:`chain_error_counts`) runs the whole per-symbol
-chain over flat per-channel-use arrays in one vectorized numpy kernel.  It
-detects by sign comparisons on the real and imaginary parts (DBPSK: re < 0;
-DQPSK: the signs of re - im and re + im), which pick the same point as
-:func:`min_distance_detect`, and like it resolve an exact tie between two
-nearest points, or zeta = 0, to the lower constellation index.
+:func:`chain_error_counts` runs the whole per-symbol chain over flat
+per-channel-use arrays in one vectorized numpy kernel.  It detects by sign
+comparisons on the real and imaginary parts (DBPSK: re < 0; DQPSK: the
+signs of re - im and re + im), which pick the nearest constellation point;
+an exact tie between two nearest points, or zeta = 0, goes to the lowest
+constellation index.
 """
 
 import math
@@ -108,122 +108,14 @@ class PowerProfile:
         return cls(10.0 ** (total_power_db / 10.0), q, amplification)
 
 
-def constellation(order: int) -> np.ndarray:
-    """The unit-magnitude M-PSK symbol set exp(2j*pi*m/order).
-
-    For the quarter-turn orders the points are exact (no 1e-16 residue
-    from the complex exponential).
-    """
-    if order in (2, 4):
-        quarter = np.array([1 + 0j, 1j, -1 + 0j, -1j])
-        return quarter[:: 4 // order].copy()
-    return np.exp(2j * np.pi * np.arange(order) / order)
-
-
-def _gray_labels(order: int) -> list[int]:
-    """The binary-reflected Gray label of each constellation index."""
-    return [m ^ (m >> 1) for m in range(order)]
-
-
-def gray_bit_error_lut(order: int) -> np.ndarray:
-    """bit_errors[m, n]: Hamming distance of the Gray labels of symbols m, n."""
-    gray = _gray_labels(order)
-    lut = np.zeros((order, order), dtype=np.int64)
-    for i in range(order):
-        for j in range(order):
-            lut[i, j] = bin(gray[i] ^ gray[j]).count("1")
-    return lut
-
-
-def symbols_to_indices(symbols, order: int) -> np.ndarray:
-    """Map unit-magnitude M-PSK symbols to constellation indices.
-
-    Raises ``ValueError`` when any input is not a constellation point.
-    """
-    z = np.asarray(symbols, dtype=np.complex128)
-    idx = np.mod(np.rint(np.angle(z) * (order / (2.0 * np.pi))).astype(np.int64), order)
-    if not np.allclose(constellation(order)[idx], z, rtol=0.0, atol=1e-9):
-        raise ValueError("symbols are not members of the M-PSK constellation")
-    return idx
-
-
-def differential_encode(symbols, order: int) -> np.ndarray:
-    """Differentially encode M-PSK symbols: s[0] = 1, s[k] = v[k] s[k-1].
-
-    Output is one element longer than the input; encoding runs on
-    constellation indices, so every element is an exact constellation point.
-    """
-    idx = np.cumsum(symbols_to_indices(symbols, order)) % order
-    return constellation(order)[np.concatenate(([0], idx))]
-
-
-def relay_forward(y_sr, amplification: float, h_rd, w_rd) -> np.ndarray:
-    """Relay retransmission: scale the received samples, apply the
-    relay-destination channel, add destination noise."""
-    y_sr = np.asarray(y_sr)
-    h_rd = np.asarray(h_rd)
-    w_rd = np.asarray(w_rd)
-    if not (y_sr.shape == h_rd.shape == w_rd.shape):
-        raise ValueError("relay_forward requires equal-length sequences")
-    return amplification * h_rd * y_sr + w_rd
-
-
-def decision_variables(y_sd, y_rd):
-    """Per-symbol decision variables on both branches.
-
-    Returns (zeta_sd, zeta_rd) with zeta[k] = conj(y[k]) * y[k+1]; each is
-    one element shorter than the inputs.
-    """
-    y_sd = np.asarray(y_sd)
-    y_rd = np.asarray(y_rd)
-    if y_sd.size < 2 or y_rd.size < 2:
-        raise ValueError("decision_variables needs at least two samples per branch")
-    return np.conj(y_sd[:-1]) * y_sd[1:], np.conj(y_rd[:-1]) * y_rd[1:]
-
-
-def select_combine(zeta_sd, zeta_rd):
-    """Pick the branch whose decision variable has the larger magnitude.
-
-    Exact magnitude ties resolve to the direct branch.  Works on scalars
-    or equal-shape arrays.
-    """
-    zeta_sd = np.asarray(zeta_sd)
-    zeta_rd = np.asarray(zeta_rd)
-    m_sd = zeta_sd.real**2 + zeta_sd.imag**2
-    m_rd = zeta_rd.real**2 + zeta_rd.imag**2
-    out = np.where(m_rd > m_sd, zeta_rd, zeta_sd)
-    return out[()] if out.ndim == 0 else out
-
-
-def semi_mrc_combine(zeta_sd, zeta_rd, amplification: float):
-    """Fixed-weight combining from channel second-order statistics:
-    zeta_sd / 2 + zeta_rd / (2 (1 + amplification^2))."""
-    if not (amplification > 0.0):
-        raise ValueError("amplification must be > 0")
-    return 0.5 * np.asarray(zeta_sd) + np.asarray(zeta_rd) / (
-        2.0 * (1.0 + amplification**2)
-    )
-
-
-def min_distance_detect(zeta, order: int) -> np.ndarray:
-    """Minimum-Euclidean-distance detection over the M-PSK set.
-
-    Returns the nearest constellation point(s); distance ties (including
-    zeta == 0) resolve to the lowest constellation index.
-    """
-    z = np.atleast_1d(np.asarray(zeta, dtype=np.complex128))
-    points = constellation(order)
-    d2 = np.abs(z[..., None] - points) ** 2
-    idx = np.argmin(d2, axis=-1)
-    out = points[idx]
-    return out[0] if np.isscalar(zeta) or np.ndim(zeta) == 0 else out
-
-
-# Per order: the constellation and, row per Gray label bit, that bit of each
-# point's label.  Built once; every chain call shares them.
-_CONSTELLATION = {order: constellation(order) for order in (2, 4)}
+# Per order: the constellation points exp(2j*pi*m/order), exact because
+# they are quarter turns, and, row per Gray label bit, that bit of each
+# point's binary-reflected Gray label m ^ (m >> 1).  Built once; every chain
+# call shares them.
+_CONSTELLATION = {order: np.array([1 + 0j, 1j, -1 + 0j, -1j])[:: 4 // order]
+                  for order in (2, 4)}
 _GRAY_BITS = {
-    order: np.array([[label >> bit & 1 for label in _gray_labels(order)]
+    order: np.array([[(m ^ m >> 1) >> bit & 1 for m in range(order)]
                      for bit in range(order.bit_length() - 1)], dtype=bool)
     for order in (2, 4)
 }
@@ -232,8 +124,9 @@ for _table in (*_CONSTELLATION.values(), *_GRAY_BITS.values()):
 
 
 def _detected_bits(d, order):
-    """Gray label bits of the constellation point nearest to each ``d``,
-    lowest index on exact ties (the rule of :func:`min_distance_detect`).
+    """Gray label bits of the constellation point nearest to each ``d``;
+    on an exact tie between two nearest points, or d = 0, the point with
+    the lowest constellation index.
 
     DBPSK: the label is re < 0.  DQPSK: with a = re - im and b = re + im,
     the nearest point is 1 if a >= 0 and b >= 0, j if a < 0 <= b, -1 if
@@ -311,17 +204,4 @@ def chain_error_counts(
     return int(err_sc), int(err_mrc)
 
 
-__all__ = [
-    "ModulationParams",
-    "PowerProfile",
-    "constellation",
-    "gray_bit_error_lut",
-    "symbols_to_indices",
-    "differential_encode",
-    "relay_forward",
-    "decision_variables",
-    "select_combine",
-    "semi_mrc_combine",
-    "min_distance_detect",
-    "chain_error_counts",
-]
+__all__ = ["ModulationParams", "PowerProfile", "chain_error_counts"]

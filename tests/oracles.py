@@ -1,13 +1,51 @@
-"""Independent fading oracle for the tests.
+"""Independent oracles for the tests.
 
-The sum-of-sinusoids route evaluates every sinusoid one by one, the
-definition that the production synthesizer evaluates by angle addition.
-The analytical oracles live in :mod:`dafsc.validate`.
+:func:`step_chain_counts` runs the relay/combining chain step by step, as
+the paper writes it, frame by frame: the definition that
+:func:`dafsc.phy.chain_error_counts` evaluates as one fused kernel.  The
+sum-of-sinusoids route :func:`sos_taps_direct` evaluates every sinusoid one
+by one, the definition that the production synthesizer evaluates by angle
+addition.  The analytical oracles live in :mod:`dafsc.validate`.
 """
 
 import math
 
 import numpy as np
+
+
+def step_chain_counts(v_idx, h_sd, h_sr, h_rd, w_sd, w_sr, w_rd, profile, mod,
+                      frame_len):
+    """(SC, semi-MRC) bit errors of the chain, step by step, frame by frame.
+
+    Each frame differentially encodes its symbols from s[0] = 1, passes the
+    direct and the amplified relay branch, forms zeta = conj(y[k-1]) * y[k]
+    on each branch, combines by selection (the larger |zeta|, the direct
+    branch on a tie) and by semi-MRC, detects the nearest point (lowest
+    index on a tie) and counts the Gray label bits that differ.
+    """
+    order = mod.order
+    points = np.array([1 + 0j, 1j, -1 + 0j, -1j])[:: 4 // order]
+    gray = [m ^ (m >> 1) for m in range(order)]
+    hamming = np.array([[bin(g ^ h).count("1") for h in gray] for g in gray])
+    sqrt_p0 = math.sqrt(profile.p0)
+    amp = profile.amplification
+    errors = [0, 0]
+    for f in range(v_idx.size // frame_len):
+        v = v_idx[f * frame_len:(f + 1) * frame_len]
+        u = slice(f * (frame_len + 1), (f + 1) * (frame_len + 1))
+        s = np.cumprod(np.concatenate(([1 + 0j], points[v])))
+        y_sd = sqrt_p0 * h_sd[u] * s + w_sd[u]
+        y_sr = sqrt_p0 * h_sr[u] * s + w_sr[u]
+        y_rd = amp * h_rd[u] * y_sr + w_rd[u]
+        z_sd = np.conj(y_sd[:-1]) * y_sd[1:]
+        z_rd = np.conj(y_rd[:-1]) * y_rd[1:]
+        sc = np.where(z_rd.real**2 + z_rd.imag**2 > z_sd.real**2 + z_sd.imag**2,
+                      z_rd, z_sd)
+        mrc = 0.5 * z_sd + z_rd / (2.0 * (1.0 + amp**2))
+        for c, zeta in enumerate((sc, mrc)):
+            detected = np.argmin(np.abs(zeta[:, None] - points) ** 2, axis=1)
+            errors[c] += int(hamming[v, detected].sum())
+    return tuple(errors)
 
 
 def sos_taps_direct(length, w_d, cos_alpha, sin_alpha, phi, psi):

@@ -1,51 +1,15 @@
-"""The fused chain kernel against the composition of the step functions."""
+"""The fused chain kernel against the step-by-step chain oracle."""
 
 import math
 
 import numpy as np
 import pytest
 
-from dafsc.phy import (
-    ModulationParams,
-    PowerProfile,
-    chain_error_counts,
-    constellation,
-    decision_variables,
-    differential_encode,
-    gray_bit_error_lut,
-    min_distance_detect,
-    relay_forward,
-    select_combine,
-    semi_mrc_combine,
-    symbols_to_indices,
-)
+from dafsc.phy import ModulationParams, PowerProfile, chain_error_counts
+from oracles import step_chain_counts
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
-
-
-def step_counts(v_idx, h_sd, h_sr, h_rd, w_sd, w_sr, w_rd, profile, mod, frame_len):
-    """(SC, semi-MRC) bit errors of the step functions, frame by frame:
-    encode, channel, relay, decision variables, combine, detect, Gray LUT."""
-    order = mod.order
-    points = constellation(order)
-    lut = gray_bit_error_lut(order)
-    sqrt_p0 = math.sqrt(profile.p0)
-    amp = profile.amplification
-    errors = [0, 0]
-    for f in range(v_idx.size // frame_len):
-        v = v_idx[f * frame_len:(f + 1) * frame_len]
-        u = slice(f * (frame_len + 1), (f + 1) * (frame_len + 1))
-        s = differential_encode(points[v], order)
-        y_sd = sqrt_p0 * h_sd[u] * s + w_sd[u]
-        y_sr = sqrt_p0 * h_sr[u] * s + w_sr[u]
-        y_rd = relay_forward(y_sr, amp, h_rd[u], w_rd[u])
-        z_sd, z_rd = decision_variables(y_sd, y_rd)
-        for c, zeta in enumerate((select_combine(z_sd, z_rd),
-                                  semi_mrc_combine(z_sd, z_rd, amp))):
-            detected = symbols_to_indices(min_distance_detect(zeta, order), order)
-            errors[c] += int(lut[v, detected].sum())
-    return tuple(errors)
 
 
 @hypothesis.settings(derandomize=True, deadline=None, max_examples=300)
@@ -91,4 +55,4 @@ def test_fused_chain_equals_step_functions(order, n_frames, frame_len, power_db,
     arrays = (h_sd, h_sr, h_rd, w_sd, w_sr, w_rd)
     fused = chain_error_counts(v_idx, *arrays, profile=profile, mod=mod,
                                frame_len=frame_len)
-    assert fused == step_counts(v_idx, *arrays, profile, mod, frame_len)
+    assert fused == step_chain_counts(v_idx, *arrays, profile, mod, frame_len)

@@ -1,4 +1,5 @@
-"""Transmit/relay/receive chain operations and the fused chain kernel."""
+"""The phy parameter types and the fused chain kernel, checked in absolute
+terms: hand-worked decisions, ties and Gray distances."""
 
 import math
 
@@ -7,20 +8,7 @@ import pytest
 
 from dafsc import analysis, harness
 from dafsc.fading import FadingConfig, generate_awgn, generate_fading
-from dafsc.phy import (
-    ModulationParams,
-    PowerProfile,
-    chain_error_counts,
-    constellation,
-    decision_variables,
-    differential_encode,
-    gray_bit_error_lut,
-    min_distance_detect,
-    relay_forward,
-    select_combine,
-    semi_mrc_combine,
-    symbols_to_indices,
-)
+from dafsc.phy import ModulationParams, PowerProfile, chain_error_counts
 
 
 class TestModulationParams:
@@ -69,154 +57,189 @@ class TestPowerProfile:
                 PowerProfile(total_power=100.0, q=0.7, amplification=amp)
 
 
+# Hamming distance of the Gray labels m ^ (m >> 1) of a sent and a detected
+# constellation index: GRAY_DISTANCE[order][sent][detected]
+GRAY_DISTANCE = {
+    2: [[0, 1], [1, 0]],
+    4: [[0, 1, 2, 1], [1, 0, 1, 2], [2, 1, 0, 1], [1, 2, 1, 0]],
+}
+
+
+MODULATION = {2: ModulationParams.dbpsk(), 4: ModulationParams.dqpsk()}
+
+
+def silent_counts(sent, y_sd, y_rd, order=2, amplification=1.0):
+    """(SC, semi-MRC) bit errors of one sent symbol index over silent
+    channels (h = 0, so y = w) with the branch samples y_sd and y_rd."""
+    prof = PowerProfile(total_power=10.0, q=0.7, amplification=amplification)
+    silent = np.zeros(2, dtype=complex)
+    return chain_error_counts([sent], silent, silent, silent,
+                              np.asarray(y_sd, dtype=complex), silent,
+                              np.asarray(y_rd, dtype=complex),
+                              profile=prof, mod=MODULATION[order], frame_len=1)
+
+
+def decisions(zeta_sd, zeta_rd=0j, order=2, amplification=1.0):
+    """(SC, semi-MRC) constellation indices the kernel detects from the
+    decision variables zeta_sd and zeta_rd, fed in as the branch samples
+    (1, zeta): the detected index is the one sent symbol with no bit error."""
+    counts = [silent_counts(m, (1, zeta_sd), (1, zeta_rd), order, amplification)
+              for m in range(order)]
+    return tuple(next(m for m in range(order) if counts[m][c] == 0) for c in (0, 1))
+
+
+def static_link_counts(order, h_sd, h_sr, h_rd, length=50, seed=3):
+    """(SC, semi-MRC) bit errors of random symbols over noiseless static
+    channels h_sd, h_sr, h_rd."""
+    prof = PowerProfile(total_power=5.0, q=0.6, amplification=0.8)
+    v = np.random.default_rng(seed).integers(0, order, length)
+    taps = [np.full(length + 1, h, dtype=complex) for h in (h_sd, h_sr, h_rd)]
+    zeros = np.zeros(length + 1, dtype=complex)
+    return chain_error_counts(v, *taps, zeros, zeros, zeros,
+                              profile=prof, mod=MODULATION[order], frame_len=length)
+
+
 class TestDifferentialEncoding:
-    def test_identity_stream(self):
-        np.testing.assert_allclose(differential_encode([1, 1], 2), [1, 1, 1])
-
-    def test_alternating_stream(self):
-        np.testing.assert_allclose(differential_encode([-1, -1], 2), [1, -1, 1],
-                                   atol=1e-12)
-
-    def test_quaternary_stream(self):
-        got = differential_encode([1j, 1j, -1], 4)
-        np.testing.assert_allclose(got, [1, 1j, -1, 1], atol=1e-12)
-
     def test_output_longer_by_one_and_unit_magnitude(self):
-        rng = np.random.default_rng(0)
-        info = constellation(4)[rng.integers(0, 4, 257)]
-        enc = differential_encode(info, 4)
-        assert enc.size == 258
-        np.testing.assert_allclose(np.abs(enc), 1.0, atol=1e-12)
-        # recursion s[k] = v[k] s[k-1]
-        np.testing.assert_allclose(enc[1:], info * enc[:-1], atol=1e-12)
-
-    def test_domain_error_for_foreign_symbol(self):
-        with pytest.raises(ValueError):
-            differential_encode([1.0, 0.5 + 0.5j], 2)
-        with pytest.raises(ValueError):
-            differential_encode([np.exp(1j * 0.3)], 4)
+        # a frame of L symbols is L + 1 channel uses: the reference s[0]
+        # and one use per symbol
+        mod = ModulationParams.dqpsk()
+        prof = PowerProfile.from_db(10.0, 0.5)
+        v = np.zeros(4, np.int64)
+        for uses in (4, 6):
+            links = [np.ones(uses, dtype=complex)] * 6
+            with pytest.raises(ValueError, match="must have 5 samples"):
+                chain_error_counts(v, *links, profile=prof, mod=mod, frame_len=4)
+        links = [np.ones(5, dtype=complex)] * 3 + [np.zeros(5, dtype=complex)] * 3
+        assert chain_error_counts(v, *links, profile=prof, mod=mod,
+                                  frame_len=4) == (0, 0)
 
 
 class TestRelayForward:
     def test_zero_gain_passes_noise(self):
-        w = np.array([1 + 2j, -3j])
-        np.testing.assert_array_equal(relay_forward([5, 6], 0.0, [1, 1], w), w)
+        # a zero relay-destination channel passes only the destination
+        # noise: the source-relay samples do not reach the decisions
+        mod = ModulationParams.dqpsk()
+        prof = PowerProfile.from_db(10.0, 0.5)
+        rng = np.random.default_rng(1)
+        v = rng.integers(0, 4, 30)
+        n = 31
+        h_sd, w_sd, w_rd, h_sr, w_sr = (rng.standard_normal(n)
+                                        + 1j * rng.standard_normal(n)
+                                        for _ in range(5))
+        zeros = np.zeros(n, dtype=complex)
+        got = chain_error_counts(v, h_sd, h_sr, zeros, w_sd, w_sr, w_rd,
+                                 profile=prof, mod=mod, frame_len=30)
+        want = chain_error_counts(v, h_sd, zeros, zeros, w_sd, zeros, w_rd,
+                                  profile=prof, mod=mod, frame_len=30)
+        assert got == want
 
     def test_noiseless_arithmetic(self):
-        got = relay_forward([1 + 1j], 2.0, [1.0], [0.0])
-        np.testing.assert_allclose(got, [2 + 2j])
+        # a silent direct link: the amplified relay branch alone carries
+        # every symbol
+        for order in (2, 4):
+            assert static_link_counts(order, 0.0, 1 + 1j, 0.5 - 2j) == (0, 0)
 
     def test_shape_error(self):
-        with pytest.raises(ValueError):
-            relay_forward([1, 2, 3], 1.0, [1, 2], [0, 0])
-
-    def test_cascade_substitution_identity(self):
-        # forwarding the relay's received signal equals the cascaded-channel
-        # form: A sqrt(P0) h_sr h_rd s + (A h_rd w_sr + w_rd), elementwise
-        rng = np.random.default_rng(2)
-        n = 64
-        s = constellation(4)[rng.integers(0, 4, n)]
-        h_sr = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / math.sqrt(2)
-        h_rd = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / math.sqrt(2)
-        w_sr = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / math.sqrt(2)
-        w_rd = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / math.sqrt(2)
-        p0, amp = 7.0, 0.8
-        y_sr = math.sqrt(p0) * h_sr * s + w_sr
-        got = relay_forward(y_sr, amp, h_rd, w_rd)
-        want = amp * math.sqrt(p0) * h_sr * h_rd * s + (amp * h_rd * w_sr + w_rd)
-        np.testing.assert_allclose(got, want, rtol=1e-13)
+        mod = ModulationParams.dbpsk()
+        prof = PowerProfile.from_db(10.0, 0.5)
+        links = [np.ones(4, dtype=complex)] * 6
+        links[2] = np.ones(3, dtype=complex)
+        with pytest.raises(ValueError, match="h_rd must have 4 samples"):
+            chain_error_counts(np.zeros(3, np.int64), *links, profile=prof,
+                               mod=mod, frame_len=3)
 
 
 class TestDecisionVariables:
     def test_conjugate_product(self):
-        z_sd, z_rd = decision_variables([1, 1j], [2, -2])
-        assert z_sd[0] == 1j
-        assert z_rd[0] == -4
+        # zeta = conj(y[k-1]) * y[k]: samples (j, 1) give -j (index 3),
+        # not j; on the relay branch (2, -2) gives -4 (index 2)
+        assert decisions(-1j, order=4) == (3, 3)
+        assert silent_counts(3, (1j, 1), (0, 0), order=4) == (0, 0)
+        assert silent_counts(2, (0, 0), (2, -2), order=4) == (0, 0)
 
     def test_noiseless_direct_link_carries_symbol(self):
-        rng = np.random.default_rng(3)
-        info = constellation(4)[rng.integers(0, 4, 50)]
-        h = 0.3 - 0.8j
-        y = math.sqrt(5.0) * h * differential_encode(info, 4)
-        z_sd, _ = decision_variables(y, y)
-        np.testing.assert_allclose(z_sd, 5.0 * abs(h) ** 2 * info, rtol=1e-12)
-
-    def test_shape_error(self):
-        with pytest.raises(ValueError):
-            decision_variables([1.0], [1.0, 2.0])
+        # a silent relay branch: the direct branch alone carries every symbol
+        for order in (2, 4):
+            assert static_link_counts(order, 0.3 - 0.8j, 0.0, 0.0) == (0, 0)
 
 
 class TestCombiners:
     def test_select_direct_wins(self):
-        assert select_combine(3 + 0j, 1 + 0j) == 3 + 0j
+        assert decisions(3, -1)[0] == 0
 
     def test_select_relay_wins(self):
-        assert select_combine(1 + 1j, -2 + 0j) == -2 + 0j
+        assert decisions(1 + 1j, -2)[0] == 1
 
     def test_select_tie_prefers_direct(self):
-        assert select_combine(1 + 0j, -1 + 0j) == 1 + 0j
+        # equal |zeta_sd| and |zeta_rd| detecting different symbols: SC
+        # counts the errors of the direct branch's point
+        for order, z_sd, z_rd, direct in ((2, 1, -1, 0), (2, -1, 1, 1),
+                                          (4, 1j, -1, 1), (4, -1, 1j, 2),
+                                          (4, -1j, 1, 3)):
+            for sent in range(order):
+                err_sc, _ = silent_counts(sent, (1, z_sd), (1, z_rd), order)
+                assert err_sc == GRAY_DISTANCE[order][sent][direct]
 
     def test_select_returns_one_of_inputs_with_max_magnitude(self):
         rng = np.random.default_rng(4)
-        a = rng.standard_normal(500) + 1j * rng.standard_normal(500)
-        b = rng.standard_normal(500) + 1j * rng.standard_normal(500)
-        out = select_combine(a, b)
-        is_a = out == a
-        is_b = out == b
-        assert np.all(is_a | is_b)
-        np.testing.assert_array_equal(np.abs(out), np.maximum(np.abs(a), np.abs(b)))
+        a = rng.standard_normal(200) + 1j * rng.standard_normal(200)
+        b = rng.standard_normal(200) + 1j * rng.standard_normal(200)
+        for z_sd, z_rd in zip(a, b):
+            larger = z_rd if abs(z_rd) > abs(z_sd) else z_sd
+            assert decisions(z_sd, z_rd, 4)[0] == decisions(larger, 0j, 4)[0]
 
     def test_semi_mrc_direct_term(self):
-        assert semi_mrc_combine(2 + 0j, 0j, 3.0) == 1 + 0j
+        # a zero relay decision variable leaves zeta_sd / 2: the direct decision
+        assert decisions(-2, 0j, amplification=3.0)[1] == 1
+        assert decisions(-0.2 + 3j, 0j, 4, amplification=3.0)[1] == 1
 
     def test_semi_mrc_relay_weight(self):
-        assert semi_mrc_combine(0j, 4 + 0j, 1.0) == 1 + 0j
+        # zeta_sd / 2 + zeta_rd / (2 (1 + A^2)) with zeta_sd = 1, zeta_rd = -3:
+        # -1/4 at A = 1 decides -1; 1/5 at A = 2 decides +1
+        assert decisions(1, -3, amplification=1.0)[1] == 1
+        assert decisions(1, -3, amplification=2.0)[1] == 0
 
     def test_semi_mrc_large_gain_limit(self):
-        out = semi_mrc_combine(2 + 2j, 5 - 1j, 1e9)
-        assert out == pytest.approx(1 + 1j, abs=1e-12)
-
-    def test_semi_mrc_gain_validation(self):
-        with pytest.raises(ValueError):
-            semi_mrc_combine(1 + 0j, 1 + 0j, 0.0)
+        # the relay weight 1 / (2 (1 + A^2)) vanishes as A grows
+        assert decisions(2 + 1j, -5e6, 4, amplification=1.0)[1] == 2
+        assert decisions(2 + 1j, -5e6, 4, amplification=1e9)[1] == 0
 
 
 class TestDetection:
     def test_binary_examples(self):
-        assert min_distance_detect(0.9 + 0.1j, 2) == 1 + 0j
+        assert decisions(0.9 + 0.1j) == (0, 0)
 
     def test_quaternary_examples(self):
-        got = min_distance_detect(-0.2 + 3j, 4)
-        assert got == pytest.approx(1j, abs=1e-12)
+        assert decisions(-0.2 + 3j, order=4) == (1, 1)
 
     def test_zero_resolves_to_first_point(self):
-        assert min_distance_detect(0j, 4) == 1 + 0j
+        assert decisions(0j, order=4) == (0, 0)
 
     def test_boundary_tie_deterministic(self):
-        # exactly between symbols 1 and j: lowest index wins
-        tie = np.exp(1j * math.pi / 4)
-        assert min_distance_detect(tie, 4) == 1 + 0j
+        # exactly between symbols 1 and j (exp(j pi/4) is not: its real
+        # part is one ulp larger): lowest index wins
+        assert decisions(1 + 1j, order=4) == (0, 0)
 
     def test_matches_argmin_definition_on_random_inputs(self):
         rng = np.random.default_rng(5)
-        z = 3.0 * (rng.standard_normal(1000) + 1j * rng.standard_normal(1000))
+        z = 3.0 * (rng.standard_normal(300) + 1j * rng.standard_normal(300))
         for order in (2, 4):
-            got = min_distance_detect(z, order)
-            points = constellation(order)
-            want = points[np.argmin(np.abs(z[:, None] - points) ** 2, axis=1)]
+            points = np.exp(2j * np.pi * np.arange(order) / order)
+            want = np.argmin(np.abs(z[:, None] - points) ** 2, axis=1)
+            got = [decisions(zeta, 0j, order)[0] for zeta in z]
             np.testing.assert_array_equal(got, want)
 
     def test_dbpsk_depends_on_real_sign(self):
         rng = np.random.default_rng(6)
-        z = rng.standard_normal(500) + 1j * rng.standard_normal(500)
-        got = min_distance_detect(z, 2)
-        want = np.where(z.real >= 0, 1 + 0j, -1 + 0j)
-        np.testing.assert_array_equal(got, want)
+        z = rng.standard_normal(200) + 1j * rng.standard_normal(200)
+        got = [decisions(zeta)[0] for zeta in z]
+        np.testing.assert_array_equal(got, z.real < 0)
 
 
 class TestDetectionTies:
-    """Decision variables on a decision boundary, or 0: the fused chain and
-    min_distance_detect both pick the lowest-index nearest point."""
+    """Decision variables on a decision boundary, or 0: the kernel picks
+    the lowest-index nearest point."""
 
     # zeta / a -> index of the lowest-index nearest point
     NEAREST = {
@@ -229,32 +252,28 @@ class TestDetectionTies:
     @pytest.mark.parametrize("a", [0.5, 1.0, 3.0])
     @pytest.mark.parametrize("order", [2, 4])
     def test_tie_table(self, order, a):
-        mod = ModulationParams.dbpsk() if order == 2 else ModulationParams.dqpsk()
-        prof = PowerProfile.from_db(10.0, 0.7)
-        lut = gray_bit_error_lut(order)
-        silent = np.zeros(2, dtype=complex)
         for unit, nearest in self.NEAREST[order]:
             zeta = a * complex(unit)
-            assert symbols_to_indices(min_distance_detect(zeta, order), order) == nearest
             for sent in range(order):
-                # silent channels make y_sd = w_sd = (1, zeta) and y_rd = 0:
-                # SC decides on zeta, semi-MRC on zeta / 2
-                errs = chain_error_counts([sent], silent, silent, silent,
-                                          np.array([1.0, zeta]), silent, silent,
-                                          profile=prof, mod=mod, frame_len=1)
-                assert errs == (lut[sent, nearest], lut[sent, nearest]), (zeta, sent)
+                # y_sd = (1, zeta) and y_rd = 0: SC decides on zeta,
+                # semi-MRC on zeta / 2
+                errs = silent_counts(sent, (1, zeta), (0, 0), order)
+                distance = GRAY_DISTANCE[order][sent][nearest]
+                assert errs == (distance, distance), (zeta, sent)
 
 
 class TestGrayMapping:
     def test_adjacent_symbols_one_bit(self):
-        lut = gray_bit_error_lut(4)
+        points = [1, 1j, -1, -1j]
         for m in range(4):
-            assert lut[m, (m + 1) % 4] == 1
-            assert lut[m, (m + 2) % 4] == 2
-            assert lut[m, m] == 0
+            for step, bits in ((0, 0), (1, 1), (2, 2), (3, 1)):
+                zeta = points[(m + step) % 4]
+                assert silent_counts(m, (1, zeta), (0, 0), 4) == (bits, bits)
 
     def test_binary_lut(self):
-        np.testing.assert_array_equal(gray_bit_error_lut(2), [[0, 1], [1, 0]])
+        got = [[silent_counts(m, (1, zeta), (0, 0))[0] for zeta in (1, -1)]
+               for m in range(2)]
+        assert got == [[0, 1], [1, 0]]
 
 
 def _trial_arrays(mod, profile, n_frames, frame_len, seed):
