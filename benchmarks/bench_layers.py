@@ -20,7 +20,11 @@ fresh process and times, in microseconds per call:
 - ``outage_probability`` over 10^4 thresholds from -10 to 30 dB;
 - ``run_outage_curve`` over the 51-power x 801-threshold grid of the
   benchmark's ``analytic`` workload, and ``write_outage_csv`` of the
-  tree's own result for that grid into a ``StringIO``.
+  tree's own result for that grid into a ``StringIO``;
+- the K1 trapezoid (``specfn._k1_scaled_trapezoid``) over 606, 2,000 and
+  10^4 arguments above 5.5 (606 is the largest call of the 51 x 801 grid);
+- startup: a fresh interpreter, run in DIR, that imports ``dafsc.cli``;
+  beside its wall time the file stores the child's VmHWM in kB.
 
 Each round times a fixed number of calls of every layer in turn.  Two trees
 are measured in the order A B B A, 8 rounds per slot, so a drift of the
@@ -50,12 +54,22 @@ CALLS = 200
 OUTAGE_THRESHOLDS = 10_000
 OUTAGE_POWERS_DB = [float(p) for p in range(51)]
 OUTAGE_GAMMA_DB = [-10.0 + 0.05 * i for i in range(801)]
+K1_SIZES = (606, 2_000, 10_000)
+STARTUP = "import dafsc.cli\nprint(open('/proc/self/status').read().split('VmHWM:')[1].split()[0])"
 
 
-def layers():
+def start_child(src, peaks_kb):
+    """Run a fresh interpreter importing ``dafsc.cli`` from ``src``; append
+    its VmHWM (kB) to ``peaks_kb``."""
+    proc = subprocess.run([sys.executable, "-c", STARTUP], cwd=src,
+                          capture_output=True, text=True, check=True)
+    peaks_kb.append(int(proc.stdout))
+
+
+def layers(src, peaks_kb):
     """(name, zero-argument callable, calls per round) for every layer."""
     import numpy as np
-    from dafsc import analysis, fading, harness, phy
+    from dafsc import analysis, fading, harness, phy, specfn
 
     config = harness.ExperimentConfig(modulation="dqpsk")
     profile = config.profile(POWER_DB)
@@ -70,6 +84,7 @@ def layers():
     thresholds = 10.0 ** (np.linspace(-10.0, 30.0, OUTAGE_THRESHOLDS) / 10.0)
     outage_config = harness.ExperimentConfig(power_db=tuple(OUTAGE_POWERS_DB), q=0.7)
     grid = harness.run_outage_curve(outage_config, OUTAGE_GAMMA_DB)
+    k1_args = {n: np.geomspace(5.6, 700.0, n) for n in K1_SIZES}
 
     def seeding():
         ss = harness.trial_seed_sequence(config.seed, 0, next(trial))
@@ -90,6 +105,9 @@ def layers():
         ("outage_vector", lambda: analysis.outage_probability(thresholds, profile), 20),
         ("outage_curve", lambda: harness.run_outage_curve(outage_config, OUTAGE_GAMMA_DB), 2),
         ("outage_csv", lambda: harness.write_outage_csv(io.StringIO(), grid), 2),
+        *((f"k1_trapezoid_{n}", lambda x=x: specfn._k1_scaled_trapezoid(x), 20)
+          for n, x in k1_args.items()),
+        ("startup", lambda: start_child(src, peaks_kb), 4),
     ]
 
 
@@ -111,12 +129,16 @@ def cpu_model():
 
 
 def sample(src):
-    """Per-round microseconds per call of every layer, from ``src``."""
-    sys.path.insert(0, str(Path(src).resolve()))
-    timed = layers()
+    """Per-round microseconds per call of every layer, from ``src``, and
+    the startup children's VmHWM under ``startup_peak_rss_kb``."""
+    src = Path(src).resolve()
+    sys.path.insert(0, str(src))
+    peaks_kb = []
+    timed = layers(src, peaks_kb)
     for _, fn, calls in timed:  # warm caches and lazy set-up
         for _ in range(calls // 4 + 1):
             fn()
+    peaks_kb.clear()
     samples = {name: [] for name, _, _ in timed}
     for _ in range(ROUNDS):
         for name, fn, calls in timed:
@@ -124,13 +146,15 @@ def sample(src):
             for _ in range(calls):
                 fn()
             samples[name].append(1e6 * (time.perf_counter() - t0) / calls)
-    return samples
+    return {**samples, "startup_peak_rss_kb": peaks_kb}
 
 
 def summarize(samples, slots):
     import numpy as np
 
-    us = {name: quartiles(v) for name, v in samples.items()}
+    us = {name: quartiles(v) for name, v in samples.items()
+          if name != "startup_peak_rss_kb"}
+    peak = quartiles(samples["startup_peak_rss_kb"])
     parts = (us["seeding"][1] + 3 * us["fading"][1] + 3 * us["awgn"][1]
              + us["symbols"][1] + us["chain"][1])
     return {
@@ -142,6 +166,7 @@ def summarize(samples, slots):
         "outage_ns_per_threshold": 1e3 * us["outage_vector"][1] / OUTAGE_THRESHOLDS,
         "outage_csv_ns_per_row": 1e3 * us["outage_csv"][1]
         / (len(OUTAGE_POWERS_DB) * len(OUTAGE_GAMMA_DB)),
+        "startup_peak_rss_kb": {"q1": peak[0], "median": peak[1], "q3": peak[2]},
         "machine": {
             "nproc": len(os.sched_getaffinity(0)),
             "cpu": cpu_model(),
@@ -186,16 +211,18 @@ def main(argv=None):
         f"at the same point; outage_probability over {OUTAGE_THRESHOLDS} "
         f"thresholds; run_outage_curve over {len(OUTAGE_POWERS_DB)} powers x "
         f"{len(OUTAGE_GAMMA_DB)} thresholds and write_outage_csv of its result "
-        f"into a StringIO")
+        f"into a StringIO; the K1 trapezoid over {', '.join(map(str, K1_SIZES))} "
+        f"arguments in [5.6, 700]; a fresh interpreter importing dafsc.cli")
     runs = doc.setdefault("runs", {})
     for i, label in enumerate(args.label):
         runs[label] = result = summarize(
             samples[i], [s for s, j in enumerate(order) if j == i])
         for name, q in result["us_per_call"].items():
-            print(f"{label:>10} {name:>13}: {q['median']:10.1f} us "
+            print(f"{label:>10} {name:>18}: {q['median']:10.1f} us "
                   f"[{q['q1']:.1f}, {q['q3']:.1f}]")
         print(f"{label:>10} trial {result['trial_mbit_per_s']:.3f} Mbit/s, "
-              f"sum of layers {result['sum_of_layers_us']:.1f} us")
+              f"sum of layers {result['sum_of_layers_us']:.1f} us, "
+              f"startup VmHWM {result['startup_peak_rss_kb']['median']} kB")
     out.write_text(json.dumps(doc, indent=2) + "\n")
 
 

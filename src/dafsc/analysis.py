@@ -178,7 +178,7 @@ def outage_probability(gamma_th, profile: PowerProfile):
 
 
 def draw_combiner_snr(
-    profile: PowerProfile, size: int, rng: np.random.Generator
+    profile: PowerProfile, size: int, rng: "np.random.Generator"
 ) -> np.ndarray:
     """Monte Carlo draws of the combiner output SNR.
 

@@ -16,6 +16,7 @@ import json
 import math
 import os
 import sys
+from contextlib import ExitStack
 from dataclasses import fields
 
 from . import harness, validate
@@ -169,55 +170,62 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "validate":
-            report = validate.run_validation_suite(
-                seed=args.seed if args.seed is not None else harness.DEFAULT_SEED)
-            with harness._opened(args.out or sys.stdout) as fh:
-                fh.write(json.dumps(report, indent=2) + "\n")
-            for check in report["checks"]:
-                status = "PASS" if check["passed"] else "FAIL"
-                print(f"{status} {check['name']}: {check['observed']:.3e} "
-                      f"({check['bound']})", file=sys.stderr)
-            return 0 if report["passed"] else 2
+        # every output is opened before the first computation, so a bad
+        # --out fails at once; a run that fails later leaves it empty
+        with ExitStack() as outputs:
+            def output(path):
+                return outputs.enter_context(harness._opened(path or sys.stdout))
 
-        config = _build_config(args)
+            if args.command == "validate":
+                out = output(args.out)
+                report = validate.run_validation_suite(
+                    seed=args.seed if args.seed is not None else harness.DEFAULT_SEED)
+                out.write(json.dumps(report, indent=2) + "\n")
+                for check in report["checks"]:
+                    status = "PASS" if check["passed"] else "FAIL"
+                    print(f"{status} {check['name']}: {check['observed']:.3e} "
+                          f"({check['bound']})", file=sys.stderr)
+                return 0 if report["passed"] else 2
 
-        if args.command == "ber-curve":
-            points, warnings = harness.run_ber_curve(config)
-            harness.write_ber_csv(args.out or sys.stdout, points)
-            for w in warnings:
-                print(f"warning: {w}", file=sys.stderr)
-            if warnings and args.strict:
-                return 3
-            return 0
+            config = _build_config(args)
 
-        if args.command == "power-sweep":
-            # the tables are keyed, and their files named, by power; stdout
-            # holds one CSV, so one table
-            labels = {f"{p_db:.2f}" for p_db in config.sweep_power_db}
-            if len(labels) < len(config.sweep_power_db):
-                raise ValueError("sweep powers must differ at two decimals, "
-                                 f"got {config.sweep_power_db}")
-            if len(labels) > 1 and not args.out:
-                raise ValueError("several sweep powers need --out "
-                                 "(one file per power)")
-            tables, argmin_q = harness.run_power_allocation_sweep(config)
-            for p_db, rows in tables.items():
-                if args.out:
-                    stem, ext = os.path.splitext(args.out)
-                    harness.write_ber_csv(f"{stem}_P{p_db:.2f}dB{ext}", rows)
-                else:
-                    harness.write_ber_csv(sys.stdout, rows)
-            for p_db, q_best in argmin_q.items():
-                print(f"P = {p_db:.2f} dB: analytical BER minimized at q = {q_best:.2f}",
-                      file=sys.stderr)
-            return 0
+            if args.command == "ber-curve":
+                out = output(args.out)
+                points, warnings = harness.run_ber_curve(config)
+                harness.write_ber_csv(out, points)
+                for w in warnings:
+                    print(f"warning: {w}", file=sys.stderr)
+                if warnings and args.strict:
+                    return 3
+                return 0
 
-        if args.command == "outage":
-            grid = harness.run_outage_curve(
-                config, parse_grid(args.gamma_db), mc_draws=args.mc_draws)
-            harness.write_outage_csv(args.out or sys.stdout, grid)
-            return 0
+            if args.command == "power-sweep":
+                # the tables are keyed, and their files named, by power;
+                # stdout holds one CSV, so one table
+                labels = {f"{p_db:.2f}" for p_db in config.sweep_power_db}
+                if len(labels) < len(config.sweep_power_db):
+                    raise ValueError("sweep powers must differ at two decimals, "
+                                     f"got {config.sweep_power_db}")
+                if len(labels) > 1 and not args.out:
+                    raise ValueError("several sweep powers need --out "
+                                     "(one file per power)")
+                stem, ext = os.path.splitext(args.out or "")
+                outs = {p_db: output(args.out and f"{stem}_P{p_db:.2f}dB{ext}")
+                        for p_db in config.sweep_power_db}
+                tables, argmin_q = harness.run_power_allocation_sweep(config)
+                for p_db, rows in tables.items():
+                    harness.write_ber_csv(outs[p_db], rows)
+                for p_db, q_best in argmin_q.items():
+                    print(f"P = {p_db:.2f} dB: analytical BER minimized at q = {q_best:.2f}",
+                          file=sys.stderr)
+                return 0
+
+            if args.command == "outage":
+                gamma_th_db = parse_grid(args.gamma_db)
+                out = output(args.out)
+                grid = harness.run_outage_curve(config, gamma_th_db, mc_draws=args.mc_draws)
+                harness.write_outage_csv(out, grid)
+                return 0
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

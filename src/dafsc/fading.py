@@ -49,7 +49,7 @@ def _draw_angles(rng):
 
 
 def generate_fading(config: FadingConfig, length: int,
-                    rng: np.random.Generator) -> np.ndarray:
+                    rng: "np.random.Generator") -> np.ndarray:
     """Generate ``length`` correlated unit-variance Rayleigh channel taps.
 
     The taps have ensemble mean 0, variance 1 and lag-n autocorrelation
@@ -110,7 +110,7 @@ def generate_fading(config: FadingConfig, length: int,
     return taps.reshape(-1)[:length]
 
 
-def generate_awgn(rng: np.random.Generator, length: int) -> np.ndarray:
+def generate_awgn(rng: "np.random.Generator", length: int) -> np.ndarray:
     """Unit-variance circularly-symmetric complex Gaussian noise, i.i.d.
     per sample, drawn from ``rng``.
 

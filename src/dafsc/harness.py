@@ -34,7 +34,7 @@ import io
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cache, cached_property, lru_cache
 from typing import ClassVar
 
 import numpy as np
@@ -191,23 +191,32 @@ def _child_words(ss):
     return words.reshape(_TRIAL_STREAMS, 4)
 
 
-class _ChildState(np.random.bit_generator.ISeedSequence):
-    """A spawned child's state words, for a BitGenerator to seed from."""
+@cache
+def _child_state():
+    """The ``_ChildState`` class, built on the first trial: its base is
+    numpy.random's, which the analytic paths never load.  Two threads that
+    build it at once each get a working class; the cache keeps one."""
 
-    __slots__ = ("words",)
+    class _ChildState(np.random.bit_generator.ISeedSequence):
+        """A spawned child's state words, for a BitGenerator to seed from."""
 
-    def __init__(self, words):
-        self.words = words
+        __slots__ = ("words",)
 
-    def generate_state(self, n_words, dtype=np.uint32):
-        if n_words != 4 or dtype is not np.uint64:
-            raise ValueError("only PCG64's 4 uint64 seed words are held")
-        return self.words
+        def __init__(self, words):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != 4 or dtype is not np.uint64:
+                raise ValueError("only PCG64's 4 uint64 seed words are held")
+            return self.words
+
+    return _ChildState
 
 
 def _trial_streams(ss):
     """Generators on the streams of ``ss.spawn(7)``'s children."""
-    return [np.random.Generator(np.random.PCG64(_ChildState(words)))
+    child_state = _child_state()
+    return [np.random.Generator(np.random.PCG64(child_state(words)))
             for words in _child_words(ss)]
 
 

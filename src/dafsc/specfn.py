@@ -60,9 +60,13 @@ _K1_COMPLEMENT_SPLIT = 2.0
 # 16 already reach machine precision over (5.5, 700].
 _K1_NODES = 32
 _K1_NODE_INDEX = np.arange(1.0, _K1_NODES + 1.0)
-# Arguments per (nodes x arguments) block: it bounds each temporary at
-# 32 x 1,024 doubles, where one (32, n) array measured slower for large n
-_K1_BLOCK = 1024
+# Arguments per (nodes x arguments) block, set by A B B A runs of the
+# k1_trapezoid layers of benchmarks/bench_layers.py: at 606 arguments (the
+# largest call of a 51 x 801 outage grid) 512 took 228-232 us a call
+# against 265 (256) and 379 (1,024), and 3.0-3.2 ms against 3.4-4.0 at
+# 10^4.  The node loop this replaced is slower at 606 (307 us) but faster
+# from 2,000 arguments on (2.0 ms at 10^4).
+_K1_BLOCK = 512
 
 # Both integrators accept an estimate once its error estimate is at most
 # max(_ABSOLUTE_TOLERANCE, _RELATIVE_TOLERANCE * |estimate|);

@@ -812,6 +812,71 @@ class TestCli:
                                 env={**os.environ, "PYTHONPATH": str(src)})
         assert result.stdout.strip() == "[]"
 
+    @staticmethod
+    def _fresh_cli_runs(tmp_path, *argvs):
+        """Exit codes of ``cli.main`` over ``argvs`` in a fresh interpreter,
+        and the numpy.random modules that importing dafsc and those runs
+        loaded beyond a bare ``import numpy``."""
+        src = Path(__file__).resolve().parents[1] / "src"
+        probe = ("import json, sys, numpy\n"
+                 "bare = set(sys.modules)\n"
+                 "import dafsc, dafsc.cli\n"
+                 "codes = [dafsc.cli.main(argv) for argv in json.loads(sys.argv[1])]\n"
+                 "print(json.dumps([codes, sorted(m for m in set(sys.modules) - bare\n"
+                 "                  if m.split('.')[:2] == ['numpy', 'random'])]))")
+        result = subprocess.run(
+            [sys.executable, "-c", probe, json.dumps(argvs)], capture_output=True,
+            text=True, check=True, cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(src)})
+        return json.loads(result.stdout)
+
+    def test_analytic_subcommands_leave_numpy_random_unloaded(self, tmp_path):
+        # the closed forms draw nothing, so they need not pay for numpy.random
+        codes, loaded = self._fresh_cli_runs(
+            tmp_path,
+            ["power-sweep", "--mod", "dqpsk", "--power-db", "10,20",
+             "--q-grid", "0.3,0.7", "--out", "sweep.csv"],
+            ["outage", "--power-db", "10,20", "--gamma-db", "0,5",
+             "--mc-draws", "0", "--out", "outage.csv"],
+            ["ber-curve", "--power-db", "10,20", "--analytical-only", "--out", "ber.csv"])
+        assert codes == [0, 0, 0]
+        assert loaded == []
+        assert len((tmp_path / "sweep_P20.00dB.csv").read_text().splitlines()) == 3
+
+    def test_simulation_in_a_fresh_interpreter(self, tmp_path):
+        # numpy.random loads on the first trial
+        codes, _ = self._fresh_cli_runs(
+            tmp_path, ["ber-curve", "--power-db", "10", "--max-symbols", "1000",
+                       "--out", "ber.csv"])
+        assert codes == [0]
+        (point,) = parse_ber_csv((tmp_path / "ber.csv").read_text())
+        assert point.bits_simulated == 1000 and point.simulated_ber_sc is not None
+
+    @pytest.mark.parametrize("argv, engine", [
+        (["ber-curve", "--mod", "dqpsk", "--power-db", "20,25"], "dafsc.harness.run_ber_curve"),
+        (["power-sweep", "--power-db", "10,20"], "dafsc.harness.run_power_allocation_sweep"),
+        (["outage", "--power-db", "10"], "dafsc.harness.run_outage_curve"),
+        (["validate"], "dafsc.validate.run_validation_suite"),
+    ], ids=["ber-curve", "power-sweep", "outage", "validate"])
+    def test_unusable_out_fails_before_computing(self, argv, engine, tmp_path,
+                                                 monkeypatch, capsys):
+        def never(*args, **kwargs):
+            raise AssertionError("computed before opening --out")
+        monkeypatch.setattr(engine, never)
+        code = cli.main([*argv, "--out", str(tmp_path / "missing" / "x.csv")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_run_failing_after_open_leaves_out_empty(self, tmp_path, monkeypatch):
+        def diverge(mod, profile):
+            raise specfn.QuadratureConvergenceError(1e-3, 1e-4)
+        monkeypatch.setattr(analysis, "analytical_ber", diverge)
+        out = tmp_path / "x.csv"
+        out.write_text("old")
+        code = cli.main(["ber-curve", "--power-db", "10", "--analytical-only",
+                         "--out", str(out)])
+        assert code == 3
+        assert out.read_text() == ""
+
     def test_quadrature_failure_exit_code(self, monkeypatch, capsys):
         def diverge(mod, profile):
             raise specfn.QuadratureConvergenceError(1e-3, 1e-4)

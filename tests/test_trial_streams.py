@@ -1,6 +1,10 @@
 """Trial seeding: the streams built from a trial's SeedSequence pool against
 numpy's own ``spawn(7)`` children."""
 
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -42,3 +46,26 @@ def test_streams_equal_spawned_children(s, p, t, prior, count):
         assert np.array_equal(gen.uniform(-np.pi, np.pi, count),
                               ref.uniform(-np.pi, np.pi, count))
         assert np.array_equal(gen.standard_normal(count), ref.standard_normal(count))
+
+
+def test_streams_first_built_on_several_threads_at_once():
+    # the seeding class is built on the first trial; threads racing to
+    # build it must each get numpy's children
+    harness._child_state.cache_clear()
+    barrier = threading.Barrier(4)
+
+    def build(t):
+        barrier.wait(timeout=60)
+        return harness._trial_streams(trial_seed_sequence(1, 2, t))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            built = list(pool.map(build, range(4), timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    for t, streams in enumerate(built):
+        for gen, child in zip(streams, numpy_children(1, 2, t)):
+            assert np.array_equal(gen.integers(0, 2**40, 8),
+                                  np.random.default_rng(child).integers(0, 2**40, 8))
