@@ -21,6 +21,8 @@ fresh process and times, in microseconds per call:
 - ``run_outage_curve`` over the 51-power x 801-threshold grid of the
   benchmark's ``analytic`` workload, and ``write_outage_csv`` of the
   tree's own result for that grid into a ``StringIO``;
+- ``run_outage_curve`` with its Monte Carlo column, 1,000 draws, over 11
+  powers (0 to 50 dB) x 81 thresholds (-10 to 30 dB);
 - the K1 trapezoid (``specfn._k1_scaled_trapezoid``) over 606, 2,000 and
   10^4 arguments above 5.5 (606 is the largest call of the 51 x 801 grid);
 - startup: a fresh interpreter, run in DIR, that imports ``dafsc.cli``;
@@ -54,6 +56,9 @@ CALLS = 200
 OUTAGE_THRESHOLDS = 10_000
 OUTAGE_POWERS_DB = [float(p) for p in range(51)]
 OUTAGE_GAMMA_DB = [-10.0 + 0.05 * i for i in range(801)]
+MC_POWERS_DB = [5.0 * i for i in range(11)]
+MC_GAMMA_DB = [-10.0 + 0.5 * i for i in range(81)]
+MC_DRAWS = 1_000
 K1_SIZES = (606, 2_000, 10_000)
 STARTUP = "import dafsc.cli\nprint(open('/proc/self/status').read().split('VmHWM:')[1].split()[0])"
 
@@ -83,6 +88,7 @@ def layers(src, peaks_kb):
     trial = itertools.count()
     thresholds = 10.0 ** (np.linspace(-10.0, 30.0, OUTAGE_THRESHOLDS) / 10.0)
     outage_config = harness.ExperimentConfig(power_db=tuple(OUTAGE_POWERS_DB), q=0.7)
+    mc_config = harness.ExperimentConfig(power_db=tuple(MC_POWERS_DB), q=0.7)
     grid = harness.run_outage_curve(outage_config, OUTAGE_GAMMA_DB)
     k1_args = {n: np.geomspace(5.6, 700.0, n) for n in K1_SIZES}
 
@@ -105,6 +111,8 @@ def layers(src, peaks_kb):
         ("outage_vector", lambda: analysis.outage_probability(thresholds, profile), 20),
         ("outage_curve", lambda: harness.run_outage_curve(outage_config, OUTAGE_GAMMA_DB), 2),
         ("outage_csv", lambda: harness.write_outage_csv(io.StringIO(), grid), 2),
+        ("outage_mc", lambda: harness.run_outage_curve(
+            mc_config, MC_GAMMA_DB, mc_draws=MC_DRAWS), 2),
         *((f"k1_trapezoid_{n}", lambda x=x: specfn._k1_scaled_trapezoid(x), 20)
           for n, x in k1_args.items()),
         ("startup", lambda: start_child(src, peaks_kb), 4),
@@ -211,7 +219,9 @@ def main(argv=None):
         f"at the same point; outage_probability over {OUTAGE_THRESHOLDS} "
         f"thresholds; run_outage_curve over {len(OUTAGE_POWERS_DB)} powers x "
         f"{len(OUTAGE_GAMMA_DB)} thresholds and write_outage_csv of its result "
-        f"into a StringIO; the K1 trapezoid over {', '.join(map(str, K1_SIZES))} "
+        f"into a StringIO; run_outage_curve with {MC_DRAWS} Monte Carlo draws "
+        f"over {len(MC_POWERS_DB)} powers x {len(MC_GAMMA_DB)} thresholds; "
+        f"the K1 trapezoid over {', '.join(map(str, K1_SIZES))} "
         f"arguments in [5.6, 700]; a fresh interpreter importing dafsc.cli")
     runs = doc.setdefault("runs", {})
     for i, label in enumerate(args.label):

@@ -5,10 +5,10 @@ Each takes only the flags it reads.  Values can also come from a key=value
 config file via ``--config``; explicit flags override file entries.
 
 Exit codes: 0 success, 1 usage error (including a flag the subcommand does
-not take, several ``power-sweep`` powers without ``--out`` and a dB value
-too large to convert to linear units), 2 validation failure, 3 budget
-warnings escalated by ``--strict`` or an analytical integral that did not
-converge.
+not take, several ``power-sweep`` powers without ``--out``, a dB value too
+large to convert to linear units and an array too large to allocate), 2
+validation failure, 3 budget warnings escalated by ``--strict`` or an
+analytical integral that did not converge.
 """
 
 import argparse
@@ -148,7 +148,7 @@ def build_parser() -> _Parser:
     outage.add_argument("--gamma-db", default="0:20:2",
                         help="SNR threshold grid in dB (default 0:20:2)")
     outage.add_argument("--mc-draws", type=int, default=0,
-                        help="Monte Carlo draws per point (0 disables the check column)")
+                        help="Monte Carlo draws per power (0 disables the check column)")
 
     val = subs.add_parser("validate", help="run the oracle validation suite")
     val.add_argument("--seed", type=int, help="seed for the statistical checks")
@@ -226,7 +226,7 @@ def main(argv=None) -> int:
                 grid = harness.run_outage_curve(config, gamma_th_db, mc_draws=args.mc_draws)
                 harness.write_outage_csv(out, grid)
                 return 0
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OverflowError:

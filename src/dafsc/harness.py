@@ -363,9 +363,10 @@ def run_power_allocation_sweep(config: ExperimentConfig):
 class OutageGrid:
     """An outage curve over (power grid) x (threshold grid): row i of each
     read-only float64 array belongs to ``power_db[i]``, column j to
-    ``gamma_th_db[j]``.  ``mc_estimate`` and ``ci_halfwidth`` are None
-    when no Monte Carlo draws were made.  Compared by identity, as arrays
-    have no single truth value."""
+    ``gamma_th_db[j]``.  ``mc_estimate`` (row i: the share of one sample of
+    ``draws`` SNRs at or below each threshold) and ``ci_halfwidth`` (each
+    cell's binomial half-width) are None when no Monte Carlo draws were
+    made.  Compared by identity, as arrays have no single truth value."""
 
     power_db: tuple
     gamma_th_db: tuple
@@ -378,9 +379,9 @@ class OutageGrid:
 def run_outage_curve(config: ExperimentConfig, gamma_th_db, mc_draws: int = 0):
     """Outage probability over (power grid) x (threshold grid) as an
     ``OutageGrid``, the closed form in one call per power over the whole
-    threshold grid.  ``mc_draws`` > 0 adds a Monte Carlo estimate per cell
-    from that many samples of the combiner output SNR, seeded by
-    (config.seed, 10_000 + power index, threshold index).
+    threshold grid.  ``mc_draws`` > 0 adds a Monte Carlo estimate: per
+    power, one sample of that many combiner output SNRs, seeded by
+    (config.seed, 10_000 + power index) and read at every threshold.
     """
     if mc_draws < 0:
         raise ValueError("mc_draws must be >= 0")
@@ -389,16 +390,15 @@ def run_outage_curve(config: ExperimentConfig, gamma_th_db, mc_draws: int = 0):
     g_lin = np.array([10.0 ** (g_db / 10.0) for g_db in gamma_th_db])
     shape = (len(config.power_db), len(g_lin))
     analytical = np.empty(shape)
-    mc, ci = (np.empty(shape), np.empty(shape)) if mc_draws else (None, None)
+    mc = np.empty(shape) if mc_draws else None
     for i, p_db in enumerate(config.power_db):
         profile = config.profile(p_db)
         analytical[i] = analysis.outage_probability(g_lin, profile)
-        for j in range(len(g_lin) if mc_draws else 0):
-            rng = np.random.default_rng(
-                np.random.SeedSequence(entropy=(config.seed, 10_000 + i, j)))
-            draws = analysis.draw_combiner_snr(profile, mc_draws, rng)
-            mc[i, j] = p = float(np.mean(draws <= g_lin[j]))
-            ci[i, j] = 1.96 * math.sqrt(max(p * (1.0 - p), 0.0) / mc_draws)
+        if mc_draws:
+            rng = np.random.default_rng((config.seed, 10_000 + i))
+            sample = np.sort(analysis.draw_combiner_snr(profile, mc_draws, rng))
+            mc[i] = np.searchsorted(sample, g_lin, side="right") / mc_draws
+    ci = 1.96 * np.sqrt(mc * (1.0 - mc) / mc_draws) if mc_draws else None
     for column in (analytical, mc, ci):
         if column is not None:
             column.flags.writeable = False

@@ -6,6 +6,7 @@ import dataclasses
 import importlib.util
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -58,10 +59,10 @@ GOLDEN_CSV = {
 }
 
 
-# Outage CSVs frozen from the row-by-row csv.writer output: one grid with
-# blank Monte Carlo cells (and a -0.0 threshold beside 0.0), one with
-# Monte Carlo cells (and a -0.0 power).  The writer may change, these
-# bytes may not.
+# Outage CSVs: one grid with blank Monte Carlo cells (and a -0.0 threshold
+# beside 0.0), frozen from the row-by-row csv.writer output, and one with
+# Monte Carlo cells (and a -0.0 power), frozen from one sample per power
+# read at every threshold.  The writer may change, these bytes may not.
 GOLDEN_OUTAGE_CSV = {
     "closed_form": (
         dict(power_db=(0.0, 12.5, 30.0), q=0.7, seed=5),
@@ -102,11 +103,11 @@ GOLDEN_OUTAGE_CSV = {
         2000,
         "power_db,gamma_th_db,analytical,mc,ci_mc,draws\n"
         "-0.00,-30.00,5.61256e-05,0.00000e+00,0.00000e+00,2000\n"
-        "-0.00,0.00,7.58393e-01,7.57000e-01,1.87972e-02,2000\n"
-        "-0.00,5.00,9.89082e-01,9.87500e-01,4.86928e-03,2000\n"
+        "-0.00,0.00,7.58393e-01,7.70000e-01,1.84438e-02,2000\n"
+        "-0.00,5.00,9.89082e-01,9.93000e-01,3.65397e-03,2000\n"
         "15.00,-30.00,4.66300e-08,0.00000e+00,0.00000e+00,2000\n"
-        "15.00,0.00,1.24230e-02,1.25000e-02,4.86928e-03,2000\n"
-        "15.00,5.00,7.20746e-02,8.40000e-02,1.21571e-02,2000\n"
+        "15.00,0.00,1.24230e-02,1.40000e-02,5.14924e-03,2000\n"
+        "15.00,5.00,7.20746e-02,7.40000e-02,1.14726e-02,2000\n"
     ),
 }
 
@@ -406,6 +407,51 @@ class TestOutageCurve:
         assert grid.draws == 200_000
         assert np.all(np.abs(grid.mc_estimate - grid.analytical)
                       <= 3.0 * (grid.ci_halfwidth / 1.96))
+
+    def test_one_sample_per_power(self, monkeypatch):
+        sizes = []
+        true_draw = analysis.draw_combiner_snr
+
+        def counting(profile, size, rng):
+            sizes.append(size)
+            return true_draw(profile, size, rng)
+
+        monkeypatch.setattr(analysis, "draw_combiner_snr", counting)
+        cfg = ExperimentConfig(power_db=(0.0, 10.0, 20.0), seed=5)
+        run_outage_curve(cfg, gamma_th_db=(-10.0, 0.0, 5.0, 10.0, 20.0), mc_draws=300)
+        assert sizes == [300] * 3
+
+    def test_mc_cells_read_one_sample_per_power(self):
+        # row i is the share of one sample, seeded by (seed, 10_000 + i),
+        # at or below each threshold; each cell has its own half-width
+        cfg = ExperimentConfig(power_db=(-5.0, 10.0, 25.0), q=0.6, seed=11)
+        gamma_db = (-40.0, -3.0, 0.0, 0.05, 2.5, 7.0, 15.0, 40.0)
+        draws = 700
+        grid = run_outage_curve(cfg, gamma_db, mc_draws=draws)
+        for i, p_db in enumerate(cfg.power_db):
+            rng = np.random.default_rng(np.random.SeedSequence(entropy=(11, 10_000 + i)))
+            sample = analysis.draw_combiner_snr(cfg.profile(p_db), draws, rng)
+            for j, g_db in enumerate(gamma_db):
+                p = float(np.mean(sample <= 10.0 ** (g_db / 10.0)))
+                assert grid.mc_estimate[i, j] == p
+                assert grid.ci_halfwidth[i, j] == 1.96 * math.sqrt(p * (1.0 - p) / draws)
+        assert grid.mc_estimate[0, 0] == 0.0 and grid.mc_estimate[0, -1] == 1.0
+
+    def test_mc_rows_non_decreasing(self):
+        # an empirical CDF cannot fall as the threshold grows
+        cfg = ExperimentConfig(power_db=(0.0, 10.0, 20.0), seed=3)
+        gamma_db = [round(-5.0 + 0.05 * j, 10) for j in range(401)]
+        grid = run_outage_curve(cfg, gamma_db, mc_draws=500)
+        for row in grid.mc_estimate:
+            assert np.all(np.diff(row) >= 0.0)
+
+    def test_mc_arrays_read_only(self):
+        cfg = ExperimentConfig(power_db=(0.0, 10.0), seed=5)
+        grid = run_outage_curve(cfg, gamma_th_db=(0.0, 3.0, 6.0), mc_draws=50)
+        assert grid.draws == 50
+        for column in (grid.mc_estimate, grid.ci_halfwidth):
+            assert column.dtype == np.float64 and column.shape == (2, 3)
+            assert not column.flags.writeable
 
 
 def parse_ber_csv(text):
@@ -884,6 +930,15 @@ class TestCli:
         code = cli.main(["ber-curve", "--power-db", "10", "--analytical-only"])
         assert code == 3
         assert capsys.readouterr().err.startswith("error: quadrature did not converge")
+
+    def test_out_of_memory_exit_code(self, capsys):
+        # 10**17 float64 draws need 8e17 bytes, beyond any 57-bit address
+        # space, so the allocation is refused at once
+        code = cli.main(["outage", "--power-db", "10", "--gamma-db", "0",
+                         "--mc-draws", str(10**17)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
 
     def test_outage_command(self, tmp_path):
         out = tmp_path / "o.csv"
