@@ -3,7 +3,7 @@ analytical engine, with post-detection selection combining and fixed-weight
 (semi-MRC) combining at the destination.
 
 The package splits into: the special functions the closed forms need
-(scaled E1 and K1, 1 - x K1, J0) and quadrature (``specfn``),
+(scaled E1 and K1, 1 - x K1) and quadrature (``specfn``),
 correlated Rayleigh fading and noise generation (``fading``), the
 transmit/relay/receive chain (``phy``), closed-form BER / outage analysis
 (``analysis``), experiment orchestration and CSV emission (``harness``), the
@@ -28,7 +28,6 @@ from .harness import (
 from .phy import ModulationParams, PowerProfile
 from .specfn import (
     QuadratureConvergenceError,
-    bessel_j0,
     integrate_theta,
     scaled_e1,
 )
@@ -59,7 +58,6 @@ __all__ = [
     "ModulationParams",
     "PowerProfile",
     "QuadratureConvergenceError",
-    "bessel_j0",
     "integrate_theta",
     "scaled_e1",
     "__version__",

@@ -174,7 +174,7 @@ def main(argv=None) -> int:
         # --out fails at once; a run that fails later leaves it empty
         with ExitStack() as outputs:
             def output(path):
-                return outputs.enter_context(harness._opened(path or sys.stdout))
+                return outputs.enter_context(open(path, "w", newline="")) if path else sys.stdout
 
             if args.command == "validate":
                 out = output(args.out)

@@ -29,10 +29,7 @@ errors arrive in bursts, so the binomial term alone would understate the
 uncertainty badly.
 """
 
-import csv
-import io
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cache, cached_property, lru_cache
 from typing import ClassVar
@@ -407,9 +404,9 @@ def run_outage_curve(config: ExperimentConfig, gamma_th_db, mc_draws: int = 0):
 
 
 # ---------------------------------------------------------------------------
-# CSV emission.  One header row; x and other dB/q coordinates with two
-# decimals, probabilities in scientific notation with six significant
-# digits, blank cells for absent values.
+# CSV emission to an open text file.  One header row; dB/q coordinates with
+# two decimals, probabilities in scientific notation with six significant
+# digits, blank cells for absent values; no cell needs CSV quoting.
 
 BER_CSV_HEADER = ["x", "analytical", "sim_sc", "ci_sc", "sim_mrc", "ci_mrc", "bits"]
 OUTAGE_CSV_HEADER = ["power_db", "gamma_th_db", "analytical", "mc", "ci_mc", "draws"]
@@ -419,54 +416,35 @@ def _fmt_prob(v) -> str:
     return "" if v is None else f"{v:.5e}"
 
 
-@contextmanager
-def _opened(path_or_file):
-    """Yield a writable file object as is; open a path for writing (no
-    newline translation) for the block and close it afterwards."""
-    if hasattr(path_or_file, "write"):
-        yield path_or_file
-    else:
-        with open(path_or_file, "w", newline="") as fh:
-            yield fh
+def write_ber_csv(fh, points) -> None:
+    """Write ``BerPoint`` rows as CSV to the open text file ``fh``."""
+    fh.write(",".join(BER_CSV_HEADER) + "\n")
+    for p in points:
+        fh.write(",".join([
+            f"{p.x:.2f}",
+            _fmt_prob(p.analytical_ber),
+            _fmt_prob(p.simulated_ber_sc),
+            _fmt_prob(p.ci_halfwidth_sc),
+            _fmt_prob(p.simulated_ber_mrc),
+            _fmt_prob(p.ci_halfwidth_mrc),
+            str(p.bits_simulated),
+        ]) + "\n")
 
 
-def write_ber_csv(path_or_file, points) -> None:
-    with _opened(path_or_file) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(BER_CSV_HEADER)
-        for p in points:
-            writer.writerow([
-                f"{p.x:.2f}",
-                _fmt_prob(p.analytical_ber),
-                _fmt_prob(p.simulated_ber_sc),
-                _fmt_prob(p.ci_halfwidth_sc),
-                _fmt_prob(p.simulated_ber_mrc),
-                _fmt_prob(p.ci_halfwidth_mrc),
-                str(p.bits_simulated),
-            ])
-
-
-def ber_csv_text(points) -> str:
-    buf = io.StringIO()
-    write_ber_csv(buf, points)
-    return buf.getvalue()
-
-
-def write_outage_csv(path_or_file, grid) -> None:
-    """Write an ``OutageGrid`` as CSV, one row per cell, powers outer and
-    one ``write`` per power.  Each power and each threshold is formatted
-    once, by position, so -0.0 keeps its sign; no cell needs CSV quoting."""
+def write_outage_csv(fh, grid) -> None:
+    """Write an ``OutageGrid`` as CSV to the open text file ``fh``, one row
+    per cell, powers outer and one ``write`` per power.  Each power and each
+    threshold is formatted once, by position, so -0.0 keeps its sign."""
     g_cells = [f"{g:.2f}," for g in grid.gamma_th_db]
     no_mc = [f",,,{grid.draws}\n"] * len(g_cells)
-    with _opened(path_or_file) as fh:
-        fh.write(",".join(OUTAGE_CSV_HEADER) + "\n")
-        for i, p_db in enumerate(grid.power_db):
-            lead = f"{p_db:.2f},"
-            tails = no_mc if grid.mc_estimate is None else [
-                f",{m:.5e},{c:.5e},{grid.draws}\n" for m, c in
-                zip(grid.mc_estimate[i].tolist(), grid.ci_halfwidth[i].tolist())]
-            fh.write("".join([f"{lead}{g}{a:.5e}{t}" for g, a, t in
-                              zip(g_cells, grid.analytical[i].tolist(), tails)]))
+    fh.write(",".join(OUTAGE_CSV_HEADER) + "\n")
+    for i, p_db in enumerate(grid.power_db):
+        lead = f"{p_db:.2f},"
+        tails = no_mc if grid.mc_estimate is None else [
+            f",{m:.5e},{c:.5e},{grid.draws}\n" for m, c in
+            zip(grid.mc_estimate[i].tolist(), grid.ci_halfwidth[i].tolist())]
+        fh.write("".join([f"{lead}{g}{a:.5e}{t}" for g, a, t in
+                          zip(g_cells, grid.analytical[i].tolist(), tails)]))
 
 
 __all__ = [
@@ -484,7 +462,6 @@ __all__ = [
     "run_power_allocation_sweep",
     "run_outage_curve",
     "write_ber_csv",
-    "ber_csv_text",
     "write_outage_csv",
     "BER_CSV_HEADER",
     "OUTAGE_CSV_HEADER",

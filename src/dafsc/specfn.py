@@ -1,10 +1,10 @@
 """Special functions and deterministic quadrature for the analytical engine.
 
 Provides the exponentially scaled exponential integral exp(x) E1(x) and
-modified Bessel function exp(x) K1(x), the complement 1 - x K1(x), the
-Bessel function J0, a periodic trapezoid integrator over [-pi, pi) for the
-analytic periodic integrands of the BER engine, and a deterministic
-adaptive Gauss-Legendre integrator for general integrands on [-pi, pi].
+modified Bessel function exp(x) K1(x), the complement 1 - x K1(x), a
+periodic trapezoid integrator over [-pi, pi) for the analytic periodic
+integrands of the BER engine, and a deterministic adaptive Gauss-Legendre
+integrator for general integrands on [-pi, pi].
 The scaled forms are the ones the engine needs: the BER integrand pairs E1
 with its inverse exponential, and the outage closed form reads K1 only
 through 1 - x K1(x).
@@ -23,10 +23,6 @@ import math
 import numpy as np
 
 _EULER_GAMMA = 0.5772156649015328606
-
-# J0 is evaluated as the average of cos(x*sin(phi)) over a 128-point
-# midpoint grid of [0, pi]; exact to machine precision for |x| <= 100.
-_J0_NODES = np.sin(np.pi * (np.arange(128) + 0.5) / 128.0)
 
 # Series / continued-fraction split of E1.  Above x = 2 a backward
 # continued fraction of depth min(60, 4 + 150/x) is exact to the last ulp
@@ -226,18 +222,6 @@ def bessel_k1_complement(x):
                      _k1_complement_series, _k1_complement_large)
 
 
-def bessel_j0(x):
-    """Bessel function of the first kind J0(x), |x| <= 100.
-
-    Computed as the 128-point midpoint-rule average of cos(x sin(phi))
-    over [0, pi], broadcast over the nodes; the aliasing error is below
-    1e-50 on the stated range.
-    """
-    arr = np.asarray(x, dtype=np.float64)
-    out = np.cos(np.multiply.outer(arr, _J0_NODES)).mean(axis=-1)
-    return float(out) if arr.ndim == 0 else out
-
-
 # First and largest node counts of the periodic trapezoid rule, and the
 # number of node sets it evaluates: the first two rules' 64 nodes, then one
 # set per further doubling.
@@ -370,7 +354,6 @@ __all__ = [
     "scaled_e1",
     "bessel_k1_scaled",
     "bessel_k1_complement",
-    "bessel_j0",
     "PERIODIC_NODE_SETS",
     "periodic_nodes",
     "integrate_periodic",

@@ -5,7 +5,10 @@ the paper writes it, frame by frame: the definition that
 :func:`dafsc.phy.chain_error_counts` evaluates as one fused kernel.  The
 sum-of-sinusoids route :func:`sos_taps_direct` evaluates every sinusoid one
 by one, the definition that the production synthesizer evaluates by angle
-addition.  The analytical oracles live in :mod:`dafsc.validate`.
+addition.  :func:`static_dbpsk_selection_errors` runs DBPSK symbol by
+symbol over static channels under two selection rules, to tell which
+receiver the exact BER describes.  The analytical oracles live in
+:mod:`dafsc.validate`.
 """
 
 import math
@@ -59,3 +62,38 @@ def sos_taps_direct(length, w_d, cos_alpha, sin_alpha, phi, psi):
         im += np.cos(w_d * sin_alpha[n] * k + psi[n])
     scale = 1.0 / math.sqrt(cos_alpha.shape[0])
     return scale * (re + 1j * im)
+
+
+def static_dbpsk_selection_errors(profile, n_symbols, rng, chunk=100_000):
+    """(SNR selection, |zeta| selection) bit errors of DBPSK over
+    ``n_symbols`` independent symbols, each over its own static channel.
+
+    Per symbol: three CN(0, 1) link gains held over the symbol's two channel
+    uses, fresh CN(0, 1) noise on each link at each use, and the reference
+    phase sent twice (the error rate does not depend on the data), so a bit
+    is wrong when Re zeta < 0.  On the same draws, one rule selects the
+    branch with the larger instantaneous SNR, p0 |h_sd|^2 against
+    A^2 p0 |h_sr|^2 |h_rd|^2 / (1 + A^2 |h_rd|^2); the other, as the paper's
+    combiner, the larger |zeta|.  Ties go to the direct branch.
+    """
+    sqrt_p0 = math.sqrt(profile.p0)
+    amp = profile.amplification
+
+    def cn(*shape):
+        return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2.0)
+
+    errors = [0, 0]
+    for start in range(0, n_symbols, chunk):
+        m = min(chunk, n_symbols - start)
+        h_sd, h_sr, h_rd = cn(3, m)
+        w_sd, w_sr, w_rd = cn(3, 2, m)  # [link][use]
+        y_sd = sqrt_p0 * h_sd + w_sd
+        y_rd = amp * h_rd * (sqrt_p0 * h_sr + w_sr) + w_rd
+        z_sd = np.conj(y_sd[0]) * y_sd[1]
+        z_rd = np.conj(y_rd[0]) * y_rd[1]
+        g_rd = amp**2 * np.abs(h_rd) ** 2
+        by_snr = g_rd * np.abs(h_sr) ** 2 / (1.0 + g_rd) > np.abs(h_sd) ** 2
+        by_zeta = np.abs(z_rd) > np.abs(z_sd)
+        for rule, relayed in enumerate((by_snr, by_zeta)):
+            errors[rule] += int(np.count_nonzero(np.where(relayed, z_rd, z_sd).real < 0.0))
+    return tuple(errors)

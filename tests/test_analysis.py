@@ -24,6 +24,7 @@ from dafsc.phy import ModulationParams, PowerProfile
 from dafsc.harness import ExperimentConfig, run_power_allocation_sweep
 from dafsc.specfn import PERIODIC_NODE_SETS, integrate_theta, periodic_nodes, scaled_e1
 from dafsc.validate import oracle_ber_2d, outage_quadrature
+from oracles import static_dbpsk_selection_errors
 
 DBPSK = ModulationParams.dbpsk()
 DQPSK = ModulationParams.dqpsk()
@@ -255,6 +256,22 @@ class TestAnalyticalBer:
             prof = PowerProfile.from_db(rng.uniform(-5, 35), rng.uniform(0.1, 0.9))
             v = analytical_ber(DBPSK, prof)
             assert 0.0 < v <= 0.5 + 1e-12
+
+    @pytest.mark.parametrize("p_db", [5.0, 10.0])
+    def test_describes_snr_selection_not_zeta_selection(self, p_db):
+        # the closed form selects by instantaneous SNR; selecting by |zeta|,
+        # as the simulated receiver and the paper's combiner do, errs ~12 %
+        # more often here
+        prof = PowerProfile.from_db(p_db, 0.7)
+        n = 1_000_000
+        exact = analytical_ber(DBPSK, prof)
+        z = []
+        for errors in static_dbpsk_selection_errors(prof, n, np.random.default_rng(11)):
+            p = errors / n
+            z.append((p - exact) / math.sqrt(p * (1.0 - p) / n))
+        by_snr, by_zeta = z
+        assert abs(by_snr) <= 3.0
+        assert by_zeta > 10.0
 
 
 class TestPeriodicRuleMatchesAdaptive:

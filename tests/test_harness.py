@@ -23,7 +23,6 @@ from dafsc.harness import (
     DEFAULT_SEED,
     BerPoint,
     ExperimentConfig,
-    ber_csv_text,
     run_ber_curve,
     run_outage_curve,
     run_power_allocation_sweep,
@@ -42,6 +41,14 @@ FAST_SIM = dict(
     frame_length=250,
     seed=321,
 )
+
+
+def ber_csv_text(points):
+    """What ``write_ber_csv`` writes for ``points``."""
+    buf = io.StringIO()
+    write_ber_csv(buf, points)
+    return buf.getvalue()
+
 
 GOLDEN_CSV = {
     "dbpsk": (
@@ -491,7 +498,8 @@ class TestCsv:
                            simulated_ber_mrc=0.08, ci_halfwidth_sc=0.01,
                            ci_halfwidth_mrc=0.01, bits_simulated=1000)]
         path = tmp_path / "curve.csv"
-        write_ber_csv(path, points)
+        with open(path, "w", newline="") as fh:
+            write_ber_csv(fh, points)
         assert path.read_bytes() == ber_csv_text(points).encode()
 
     @pytest.mark.parametrize("name", sorted(GOLDEN_OUTAGE_CSV))
@@ -502,7 +510,8 @@ class TestCsv:
         write_outage_csv(buf, rows)
         assert buf.getvalue() == want
         path = tmp_path / "outage.csv"
-        write_outage_csv(path, rows)
+        with open(path, "w", newline="") as fh:
+            write_outage_csv(fh, rows)
         assert path.read_bytes() == want.encode()
 
     def test_outage_csv_signed_zero_grid(self):
@@ -526,7 +535,8 @@ class TestCsv:
         cfg = ExperimentConfig(power_db=(10.0,), seed=5)
         rows = run_outage_curve(cfg, gamma_th_db=(0.0,))
         path = tmp_path / "outage.csv"
-        write_outage_csv(path, rows)
+        with open(path, "w", newline="") as fh:
+            write_outage_csv(fh, rows)
         lines = path.read_text().splitlines()
         assert lines[0] == "power_db,gamma_th_db,analytical,mc,ci_mc,draws"
         assert len(lines) == 2
@@ -555,11 +565,11 @@ class TestValidationSuite:
 
     def test_check_names(self):
         # the special-function checks cover exactly the kernels the closed
-        # forms call: scaled E1, scaled K1 and 1 - x K1 (and J0)
+        # forms call: scaled E1, scaled K1 and 1 - x K1
         report = run_validation_suite()
         assert [c["name"] for c in report["checks"]] == [
             "specfn.scaled_e1_grid", "specfn.k1_grid", "specfn.k1_complement_grid",
-            "specfn.j0_grid", "quadrature.closed_form",
+            "quadrature.closed_form",
             "ber.closed_form_vs_2d_quadrature", "fading.variance",
             "fading.autocorrelation", "fading.slow_fading_step",
             "fading.cross_independence", "diversity.approx_slope",
@@ -717,10 +727,26 @@ class TestCli:
         ["ber-curve", "--analytical-only", "--power-db", "20", "--amp", "1e155"],
         ["outage", "--power-db", "20", "--gamma-db", "0", "--amp", "1e-300"],
         ["outage", "--power-db", "10", "--gamma-db="],
+        # A*A and 1/(A*A) are finite, but A^2 (c + 2) or c / A^2 of the BER
+        # integrand overflows
+        ["ber-curve", "--analytical-only", "--power-db", "10", "--amp", "1e154"],
+        ["ber-curve", "--analytical-only", "--power-db", "10", "--amp", "1e-154"],
     ])
     def test_invalid_value_exit_code(self, argv, capsys):
         assert cli.main(argv) == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.filterwarnings("error")  # numpy's overflow warning included
+    @pytest.mark.parametrize("argv", [
+        ["ber-curve", "--power-db", "10", "--amp", "1e-154", "--mod", "dqpsk"],
+        ["power-sweep", "--power-db", "10", "--amp", "1e154"],
+    ])
+    def test_out_of_range_amplification_is_named(self, argv, capsys):
+        # rejected before any integrand is evaluated, also by a simulated
+        # curve and a sweep: one line, no warning
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: amplification ")
 
     def test_min_errors_below_floor_is_usage_error(self):
         assert cli.main(["ber-curve", "--power-db", "10", "--min-errors", "10"]) == 1

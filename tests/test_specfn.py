@@ -10,7 +10,6 @@ from dafsc import specfn
 from dafsc.specfn import (
     PERIODIC_NODE_SETS,
     QuadratureConvergenceError,
-    bessel_j0,
     bessel_k1_complement,
     bessel_k1_scaled,
     integrate_periodic,
@@ -237,27 +236,8 @@ class TestBesselK1Complement:
             bessel_k1_complement(0.0)
 
 
-class TestBesselJ0:
-    def test_at_zero(self):
-        assert bessel_j0(0.0) == 1.0
-
-    def test_first_zero(self):
-        assert abs(bessel_j0(2.404825557695773)) <= 1e-9
-
-    def test_at_one(self):
-        assert bessel_j0(1.0) == pytest.approx(0.7651976865579666, abs=1e-12)
-
-    def test_frozen_oracle_grid(self):
-        got = bessel_j0(tables.J0_X)
-        assert np.max(np.abs(got - tables.J0_VALUES)) <= 1e-10
-
-    def test_even_symmetry(self):
-        x = np.linspace(0.1, 100.0, 57)
-        np.testing.assert_allclose(bessel_j0(-x), bessel_j0(x), atol=1e-13)
-
-
 class TestArrayEvaluation:
-    FUNCS = [scaled_e1, bessel_k1_scaled, bessel_k1_complement, bessel_j0]
+    FUNCS = [scaled_e1, bessel_k1_scaled, bessel_k1_complement]
 
     @pytest.mark.parametrize("func", FUNCS, ids=lambda f: f.__name__)
     def test_shapes(self, func):
@@ -291,7 +271,7 @@ class TestArrayEvaluation:
         assert np.max(np.abs(got - want) / want) <= 1e-10
 
     def test_empty_input(self):
-        for func in self.FUNCS[:3]:
+        for func in self.FUNCS:
             assert func(np.array([])).shape == (0,)
 
 

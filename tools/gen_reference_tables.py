@@ -14,7 +14,6 @@ oracles evaluated in arbitrary precision (mpmath):
   evaluated by high-resolution quadrature on a truncated interval whose
   tail is provably below the target precision; its complement
   1 - x*K1(x) is formed from that value at the same 60 working digits.
-* Bessel J0: the power series  sum_k (-x^2/4)^k / (k!)^2.
 
 Every oracle value is cross-checked against mpmath's own independent
 implementations before being written out; the script aborts if any
@@ -77,25 +76,6 @@ def k1_integral(x):
     return val * mp.exp(-x)
 
 
-def j0_series(x):
-    """J0 via the power series, with headroom for the exp(|x|)-sized terms."""
-    mp.mp.dps = 40 + int(0.9 * abs(float(x))) + 10
-    x = mp.mpf(x)
-    q = -x * x / 4
-    total = mp.mpf(1)
-    term = mp.mpf(1)
-    k = 1
-    while True:
-        term *= q / (k * k)
-        total += term
-        if abs(term) < mp.eps and k > 4:
-            break
-        k += 1
-        if k > 100000:
-            raise RuntimeError("series did not converge")
-    return total
-
-
 def crosscheck(tag, xs, oracle_vals, reference_fn, tol=mp.mpf("1e-25")):
     worst = mp.mpf(0)
     for x, v in zip(xs, oracle_vals):
@@ -119,20 +99,17 @@ def fmt_array(name, values):
 def main():
     e1_x = np.logspace(-12, np.log10(700.0), 56)
     k1_x = np.logspace(-10, np.log10(700.0), 52)
-    j0_x = np.concatenate([np.logspace(-3, 2, 50), [2.404825557695773, 55.0]])
 
     e1_vals = [e1_series(x) for x in e1_x]
     se1_vals = [scaled_e1_oracle(x) for x in e1_x]
     k1_vals = [k1_integral(x) for x in k1_x]
     mp.mp.dps = 60
     k1c_vals = [1 - mp.mpf(x) * v for x, v in zip(k1_x, k1_vals)]
-    j0_vals = [j0_series(x) for x in j0_x]
 
     crosscheck("E1", e1_x, e1_vals, lambda x: mp.e1(x))
     crosscheck("scaled E1", e1_x, se1_vals, lambda x: mp.exp(x) * mp.e1(x))
     crosscheck("K1", k1_x, k1_vals, lambda x: mp.besselk(1, x))
     crosscheck("1 - x K1", k1_x, k1c_vals, lambda x: 1 - x * mp.besselk(1, x))
-    crosscheck("J0", j0_x, j0_vals, lambda x: mp.besselj(0, x))
 
     mp.mp.dps = 25
     out = []
@@ -156,10 +133,6 @@ def main():
     out.append(fmt_array("K1_VALUES", [float(v) for v in k1_vals]))
     out.append("")
     out.append(fmt_array("K1_COMPLEMENT_VALUES", [float(v) for v in k1c_vals]))
-    out.append("")
-    out.append(fmt_array("J0_X", [float(x) for x in j0_x]))
-    out.append("")
-    out.append(fmt_array("J0_VALUES", [float(v) for v in j0_vals]))
     out.append("")
     print("\n".join(out))
 
