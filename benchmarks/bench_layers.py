@@ -10,12 +10,13 @@ Imports ``dafsc`` from each DIR (default: ``src/`` of this checkout) in a
 fresh process and times, in microseconds per call:
 
 - the calls one trial makes at DQPSK, 30 dB, q = 0.7, 2 frames x 500
-  symbols (1,002 channel uses): seeding (the SeedSequence and its 7
-  streams built by ``harness._trial_streams``), one ``generate_fading``,
-  one ``generate_awgn``, the symbol draw, one ``chain_error_counts`` and
-  one whole ``harness._run_trial``, the call ``simulate_point`` makes per
-  trial;
-- one ``simulate_point`` at the same point with the default stop rule;
+  symbols (1,002 channel uses): seeding (the trial's SeedSequence and its
+  one generator, ``default_rng(harness.trial_seed_sequence(...))``), one
+  ``generate_fading``, one ``generate_awgn``, the symbol draw, one
+  ``chain_error_counts`` and one whole ``harness._run_trial``, the call
+  ``simulate_point`` makes per trial;
+- one ``simulate_point`` at the same point with the default stop rule,
+  beside the number of trials it ran and its cost per trial;
 - ``analytical_ber`` per modulation at the same point;
 - ``outage_probability`` over 10^4 thresholds from -10 to 30 dB;
 - ``run_outage_curve`` over the 51-power x 801-threshold grid of the
@@ -71,8 +72,9 @@ def start_child(src, peaks_kb):
     peaks_kb.append(int(proc.stdout))
 
 
-def layers(src, peaks_kb):
-    """(name, zero-argument callable, calls per round) for every layer."""
+def layers(src, peaks_kb, point_trials):
+    """(name, zero-argument callable, calls per round) for every layer;
+    ``simulate_point`` appends its trial count to ``point_trials``."""
     import numpy as np
     from dafsc import analysis, fading, harness, phy, specfn
 
@@ -93,8 +95,10 @@ def layers(src, peaks_kb):
     k1_args = {n: np.geomspace(5.6, 700.0, n) for n in K1_SIZES}
 
     def seeding():
-        ss = harness.trial_seed_sequence(config.seed, 0, next(trial))
-        return harness._trial_streams(ss)
+        return np.random.default_rng(harness.trial_seed_sequence(config.seed, 0, next(trial)))
+
+    def point():
+        point_trials.append(harness.simulate_point(config, profile, 0).trials)
 
     return [
         ("seeding", seeding, CALLS),
@@ -105,7 +109,7 @@ def layers(src, peaks_kb):
             v_idx, *taps, *noise, profile=profile, mod=mod,
             frame_len=SYMBOLS // 2), CALLS),
         ("trial", lambda: harness._run_trial(config, profile, 0, next(trial)), CALLS),
-        ("simulate_point", lambda: harness.simulate_point(config, profile, 0), 1),
+        ("simulate_point", point, 1),
         ("ber_dbpsk", lambda: analysis.analytical_ber(dbpsk, profile), CALLS),
         ("ber_dqpsk", lambda: analysis.analytical_ber(mod, profile), CALLS),
         ("outage_vector", lambda: analysis.outage_probability(thresholds, profile), 20),
@@ -137,12 +141,14 @@ def cpu_model():
 
 
 def sample(src):
-    """Per-round microseconds per call of every layer, from ``src``, and
-    the startup children's VmHWM under ``startup_peak_rss_kb``."""
+    """Per-round microseconds per call of every layer, from ``src``, the
+    startup children's VmHWM under ``startup_peak_rss_kb`` and
+    ``simulate_point``'s trial count under ``simulate_point_trials``."""
     src = Path(src).resolve()
     sys.path.insert(0, str(src))
     peaks_kb = []
-    timed = layers(src, peaks_kb)
+    point_trials = []
+    timed = layers(src, peaks_kb, point_trials)
     for _, fn, calls in timed:  # warm caches and lazy set-up
         for _ in range(calls // 4 + 1):
             fn()
@@ -154,14 +160,16 @@ def sample(src):
             for _ in range(calls):
                 fn()
             samples[name].append(1e6 * (time.perf_counter() - t0) / calls)
-    return {**samples, "startup_peak_rss_kb": peaks_kb}
+    return {**samples, "startup_peak_rss_kb": peaks_kb,
+            "simulate_point_trials": point_trials[-1:]}
 
 
 def summarize(samples, slots):
     import numpy as np
 
-    us = {name: quartiles(v) for name, v in samples.items()
-          if name != "startup_peak_rss_kb"}
+    counts = ("startup_peak_rss_kb", "simulate_point_trials")
+    us = {name: quartiles(v) for name, v in samples.items() if name not in counts}
+    point_trials = samples["simulate_point_trials"][0]
     peak = quartiles(samples["startup_peak_rss_kb"])
     parts = (us["seeding"][1] + 3 * us["fading"][1] + 3 * us["awgn"][1]
              + us["symbols"][1] + us["chain"][1])
@@ -171,6 +179,8 @@ def summarize(samples, slots):
         "sum_of_layers_us": parts,
         "fading_ns_per_tap": 1e3 * us["fading"][1] / USES,
         "trial_mbit_per_s": 2 * SYMBOLS / us["trial"][1],
+        "simulate_point_trials": point_trials,
+        "simulate_point_us_per_trial": us["simulate_point"][1] / point_trials,
         "outage_ns_per_threshold": 1e3 * us["outage_vector"][1] / OUTAGE_THRESHOLDS,
         "outage_csv_ns_per_row": 1e3 * us["outage_csv"][1]
         / (len(OUTAGE_POWERS_DB) * len(OUTAGE_GAMMA_DB)),
@@ -215,7 +225,8 @@ def main(argv=None):
     doc["workload"] = (
         f"one DQPSK trial at {POWER_DB:g} dB, q = 0.7: 2 frames x {SYMBOLS // 2} "
         f"symbols, {USES} channel uses per link; simulate_point at that point, "
-        f"default stop rule (1,696 trials); analytical_ber per modulation "
+        f"default stop rule (trials run: simulate_point_trials); "
+        f"analytical_ber per modulation "
         f"at the same point; outage_probability over {OUTAGE_THRESHOLDS} "
         f"thresholds; run_outage_curve over {len(OUTAGE_POWERS_DB)} powers x "
         f"{len(OUTAGE_GAMMA_DB)} thresholds and write_outage_csv of its result "
@@ -230,6 +241,8 @@ def main(argv=None):
         for name, q in result["us_per_call"].items():
             print(f"{label:>10} {name:>18}: {q['median']:10.1f} us "
                   f"[{q['q1']:.1f}, {q['q3']:.1f}]")
+        print(f"{label:>10} simulate_point {result['simulate_point_trials']} trials, "
+              f"{result['simulate_point_us_per_trial']:.1f} us per trial")
         print(f"{label:>10} trial {result['trial_mbit_per_s']:.3f} Mbit/s, "
               f"sum of layers {result['sum_of_layers_us']:.1f} us, "
               f"startup VmHWM {result['startup_peak_rss_kb']['median']} kB")

@@ -3,10 +3,10 @@
 Channel taps are produced by a sum-of-sinusoids synthesizer (16 sinusoids
 per quadrature arm) with randomized arrival angles and phases, giving
 zero-mean, unit-variance complex Gaussian processes whose autocorrelation
-follows the classical land-mobile model J0(2*pi*fd*Ts*n).  Independent
-generator streams give statistically independent processes, which is how
-the source-destination, source-relay and relay-destination links are kept
-spatially uncorrelated.
+follows the classical land-mobile model J0(2*pi*fd*Ts*n).  Each call
+draws its own angles and phases, so successive calls on one generator give
+statistically independent processes, which is how the source-destination,
+source-relay and relay-destination links are kept spatially uncorrelated.
 """
 
 import math

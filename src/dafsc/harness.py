@@ -3,13 +3,10 @@ sweeps, outage curves, and CSV emission.
 
 Simulation is organized as independent trials; a trial carries a few
 consecutive frames over one continuously evolving channel realization per
-link.  Every trial derives its RNG streams from
-(master seed, point index, trial index), so results are reproducible: its
-7 streams (3 fading, 3 noise, symbols) are those of ``default_rng(c)`` for
-the children c of ``trial_seed_sequence(...).spawn(7)``, bit for bit.  They
-are not built that way: the children's state words are computed from the
-parent's entropy pool with numpy's SeedSequence hash, and each PCG64 seeds
-itself from them, at under a third of the cost of spawning.  Trials run
+link.  Every trial draws from one generator of its own,
+``default_rng(trial_seed_sequence(master seed, point index, trial index))``,
+so results are reproducible and no RNG state passes from one trial to the
+next (see ``trial_seed_sequence`` for the order of its draws).  Trials run
 in order on the calling thread, in batches of 32; the stop rule
 (``min_bit_errors`` errors over at least 48 error-bearing trials, for both
 combiners) is evaluated only at batch boundaries, which keeps the set of
@@ -31,7 +28,7 @@ uncertainty badly.
 
 import math
 from dataclasses import dataclass
-from functools import cache, cached_property, lru_cache
+from functools import cached_property
 from typing import ClassVar
 
 import numpy as np
@@ -118,114 +115,23 @@ class BerPoint:
 
 
 def trial_seed_sequence(master_seed: int, point_index: int, trial_index: int):
-    """The RNG root for one (point, trial) pair; collision-free by design."""
+    """The RNG root for one (point, trial) pair; collision-free by design.
+
+    A trial seeds one generator from it and draws, in this order: the
+    fading taps of the sd, sr and rd links, then their noise in the same
+    link order, then the transmitted symbol indices.  That order is part of
+    the contract: every fixed-seed output depends on it."""
     return np.random.SeedSequence(entropy=(master_seed, point_index, trial_index))
-
-
-# ---------------------------------------------------------------------------
-# Trial streams.  A trial draws from the 7 children of its SeedSequence,
-# ``[default_rng(c) for c in ss.spawn(7)]``.  The children's state words are
-# computed here from the parent's pool with numpy's SeedSequence hash
-# (constants as named in numpy/random/bit_generator.pyx), and PCG64 seeds
-# itself from them as it would from each child.
-
-_TRIAL_STREAMS = 7
-_POOL_SIZE = 4
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875    # hashmix (entropy mixing)
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED    # generate_state
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_XSHIFT = np.uint32(16)
-_MASK32 = (1 << 32) - 1
-
-
-def _hash_const(init, mult, k):
-    """The hash multiplier after k steps: init * mult**k mod 2**32."""
-    return init * pow(mult, k, 1 << 32) & _MASK32
-
-
-@lru_cache(maxsize=8)
-def _spawn_terms(n_entropy):
-    """MIX_MULT_R * hashmix(child) for the spawn-key word of each child
-    (rows) and pool word (columns), twice over: the pool cycles twice to
-    give generate_state's 8 words.
-
-    A child's entropy is the parent's, zero-padded to the pool size, then
-    its index, so its pool equals the parent's until that last word, which
-    is hashed with the constants after 4 + 12 (pool fill and cross-mix)
-    plus 4 per run-entropy word beyond the pool."""
-    step = 16 + 4 * max(0, n_entropy - _POOL_SIZE)
-    terms = np.empty((_TRIAL_STREAMS, 2, _POOL_SIZE), dtype=np.uint32)
-    for child in range(_TRIAL_STREAMS):
-        for d in range(_POOL_SIZE):
-            k = step + d
-            h = (child ^ _hash_const(_INIT_A, _MULT_A, k)) \
-                * _hash_const(_INIT_A, _MULT_A, k + 1) & _MASK32
-            terms[child, :, d] = _MIX_MULT_R * (h ^ h >> 16) & _MASK32
-    terms.flags.writeable = False
-    return terms
-
-
-# generate_state's multipliers before and after each of its 8 steps
-_STATE_XOR, _STATE_MUL = (
-    np.array([_hash_const(_INIT_B, _MULT_B, k + s) for k in range(2 * _POOL_SIZE)],
-             dtype=np.uint32).reshape(2, _POOL_SIZE)
-    for s in (0, 1))
-
-
-def _child_words(ss):
-    """``[c.generate_state(4, np.uint64) for c in ss.spawn(7)]`` as a
-    (7, 4) array, from the pool of ``ss`` (a SeedSequence without a spawn
-    key, pool size 4, no children spawned yet)."""
-    n_entropy = sum((int(e).bit_length() + 31) // 32 or 1 for e in ss.entropy)
-    # child pool = mix(pool, hashmix(child)), then generate_state's hash
-    w = ss.pool * _MIX_MULT_L - _spawn_terms(n_entropy)
-    w ^= w >> _XSHIFT
-    w ^= _STATE_XOR
-    w *= _STATE_MUL
-    w ^= w >> _XSHIFT
-    # as numpy pairs them: little-endian 32-bit halves, native 64-bit words
-    words = w.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
-    return words.reshape(_TRIAL_STREAMS, 4)
-
-
-@cache
-def _child_state():
-    """The ``_ChildState`` class, built on the first trial: its base is
-    numpy.random's, which the analytic paths never load.  Two threads that
-    build it at once each get a working class; the cache keeps one."""
-
-    class _ChildState(np.random.bit_generator.ISeedSequence):
-        """A spawned child's state words, for a BitGenerator to seed from."""
-
-        __slots__ = ("words",)
-
-        def __init__(self, words):
-            self.words = words
-
-        def generate_state(self, n_words, dtype=np.uint32):
-            if n_words != 4 or dtype is not np.uint64:
-                raise ValueError("only PCG64's 4 uint64 seed words are held")
-            return self.words
-
-    return _ChildState
-
-
-def _trial_streams(ss):
-    """Generators on the streams of ``ss.spawn(7)``'s children."""
-    child_state = _child_state()
-    return [np.random.Generator(np.random.PCG64(child_state(words)))
-            for words in _child_words(ss)]
 
 
 def _run_trial(config: ExperimentConfig, profile: PowerProfile,
                point_index: int, trial_index: int):
     mod = config.mod
     n_uses = config.frames_per_trial * (config.frame_length + 1)
-    ss = trial_seed_sequence(config.seed, point_index, trial_index)
-    streams = _trial_streams(ss)
-    taps = [generate_fading(config.fading, n_uses, streams[i]) for i in range(3)]
-    noise = [generate_awgn(streams[3 + i], n_uses) for i in range(3)]
-    v_idx = streams[6].integers(0, mod.order, config.frames_per_trial * config.frame_length)
+    rng = np.random.default_rng(trial_seed_sequence(config.seed, point_index, trial_index))
+    taps = [generate_fading(config.fading, n_uses, rng) for _ in range(3)]
+    noise = [generate_awgn(rng, n_uses) for _ in range(3)]
+    v_idx = rng.integers(0, mod.order, config.frames_per_trial * config.frame_length)
     err_sc, err_mrc = chain_error_counts(
         v_idx, *taps, *noise, profile=profile, mod=mod,
         frame_len=config.frame_length,
@@ -247,7 +153,7 @@ class PointEstimate:
 
 def _halfwidth(errors, bits_total, per_trial_rates, n_trials):
     p = errors / bits_total
-    se_binom = math.sqrt(max(p * (1.0 - p), 0.0) / bits_total)
+    se_binom = math.sqrt(p * (1.0 - p) / bits_total)
     se_cluster = 0.0
     if n_trials > 1:
         se_cluster = float(np.std(per_trial_rates, ddof=1)) / math.sqrt(n_trials)

@@ -19,6 +19,7 @@ import pytest
 
 import dafsc
 from dafsc import analysis, cli, harness, specfn
+from dafsc.fading import generate_awgn, generate_fading
 from dafsc.harness import (
     DEFAULT_SEED,
     BerPoint,
@@ -31,6 +32,7 @@ from dafsc.harness import (
     write_ber_csv,
     write_outage_csv,
 )
+from dafsc.phy import chain_error_counts
 from dafsc.validate import run_validation_suite
 
 FAST_SIM = dict(
@@ -53,15 +55,15 @@ def ber_csv_text(points):
 GOLDEN_CSV = {
     "dbpsk": (
         "x,analytical,sim_sc,ci_sc,sim_mrc,ci_mrc,bits\n"
-        "10.00,4.08135e-02,5.03437e-02,1.32585e-02,4.31875e-02,1.25014e-02,32000\n"
-        "20.00,1.33295e-03,1.13667e-03,4.10394e-04,9.26667e-04,3.59645e-04,300000\n"
-        "30.00,2.40945e-05,2.33333e-05,2.99062e-05,1.00000e-05,1.45992e-05,300000\n"
+        "10.00,4.08135e-02,3.73125e-02,1.09853e-02,3.02187e-02,1.01583e-02,32000\n"
+        "20.00,1.33295e-03,2.22115e-03,9.89442e-04,1.86538e-03,9.54236e-04,208000\n"
+        "30.00,2.40945e-05,1.00000e-05,1.45992e-05,1.00000e-05,1.45992e-05,300000\n"
     ),
     "dqpsk": (
         "x,analytical,sim_sc,ci_sc,sim_mrc,ci_mrc,bits\n"
-        "10.00,8.44159e-02,9.14531e-02,1.68030e-02,7.96250e-02,1.61165e-02,64000\n"
-        "20.00,4.46201e-03,4.13542e-03,1.47968e-03,2.91667e-03,1.19879e-03,192000\n"
-        "30.00,9.70321e-05,8.00000e-05,5.53059e-05,5.50000e-05,3.80129e-05,600000\n"
+        "10.00,8.44159e-02,8.04531e-02,1.47095e-02,6.82813e-02,1.43528e-02,64000\n"
+        "20.00,4.46201e-03,6.36250e-03,2.69241e-03,5.00625e-03,2.55514e-03,160000\n"
+        "30.00,9.70321e-05,1.00000e-04,7.32519e-05,6.33333e-05,5.10270e-05,600000\n"
     ),
 }
 
@@ -204,8 +206,9 @@ class TestBerCurve:
 
     @pytest.mark.parametrize("modulation", ["dbpsk", "dqpsk"])
     def test_fixed_seed_csv_bytes(self, modulation):
-        # frozen output of the per-sinusoid fading sum; the synthesis
-        # algorithm may change, these bytes may not
+        # frozen from one generator per trial, drawn in the order that
+        # trial_seed_sequence documents; the synthesis algorithm may change,
+        # these bytes may not, unless that draw order changes with them
         cfg = ExperimentConfig(modulation=modulation, power_db=(10.0, 20.0, 30.0),
                                seed=DEFAULT_SEED, min_bit_errors=100,
                                max_symbols=300_000, frames_per_trial=2,
@@ -257,13 +260,13 @@ class TestBerCurve:
 class TestTrialStreams:
     # (SC, semi-MRC) bit errors of trials 0..63 of point 0 at the default
     # 2 x 500-symbol trial and DEFAULT_SEED, frozen from the per-trial
-    # engine; every trial not listed has (0, 0)
+    # engine with one generator per trial; every trial not listed has (0, 0)
     PINNED = {
-        ("dqpsk", 30.0): {20: (6, 5), 21: (1, 0), 26: (1, 0)},
-        ("dbpsk", 20.0): {1: (0, 1), 6: (1, 1), 12: (1, 0), 17: (3, 2),
-                          20: (26, 22), 21: (3, 2), 22: (1, 0), 23: (0, 1),
-                          24: (1, 1), 25: (1, 0), 26: (14, 12), 27: (4, 1),
-                          54: (1, 0), 59: (6, 6)},
+        ("dqpsk", 30.0): {11: (1, 1), 23: (1, 1), 35: (11, 10)},
+        ("dbpsk", 20.0): {1: (14, 13), 11: (11, 8), 17: (2, 2), 18: (1, 0),
+                          19: (1, 3), 23: (5, 6), 29: (2, 1), 31: (1, 0),
+                          34: (1, 0), 35: (25, 23), 37: (1, 0), 45: (2, 3),
+                          49: (2, 3), 60: (11, 11)},
     }
 
     @pytest.mark.parametrize("key", sorted(PINNED))
@@ -276,6 +279,24 @@ class TestTrialStreams:
         got = [harness._run_trial(cfg, profile, 0, t) for t in range(64)]
         want = [(*self.PINNED[key].get(t, (0, 0)), bits) for t in range(64)]
         assert got == want
+
+    @pytest.mark.parametrize("modulation", ["dbpsk", "dqpsk"])
+    def test_draw_layout(self, modulation):
+        # one generator per trial: taps sd, sr, rd, then noise sd, sr, rd,
+        # then the symbols, whatever the seed, point and trial
+        cfg = ExperimentConfig(modulation=modulation, frames_per_trial=3,
+                               frame_length=7, seed=4242)
+        profile = cfg.profile(3.0)
+        uses = 3 * (7 + 1)  # a frame carries its reference symbol too
+        for point, trial in [(0, 0), (1, 5), (7, 2**40)]:
+            rng = np.random.default_rng(trial_seed_sequence(cfg.seed, point, trial))
+            taps = [generate_fading(cfg.fading, uses, rng) for _ in range(3)]
+            noise = [generate_awgn(rng, uses) for _ in range(3)]
+            v_idx = rng.integers(0, cfg.mod.order, 3 * 7)
+            want = chain_error_counts(v_idx, *taps, *noise, profile=profile,
+                                      mod=cfg.mod, frame_len=7)
+            bits = 3 * 7 * cfg.mod.bits_per_symbol
+            assert harness._run_trial(cfg, profile, point, trial) == (*want, bits)
 
 
 class TestTrialOrderIndependence:
