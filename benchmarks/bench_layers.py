@@ -24,8 +24,9 @@ fresh process and times, in microseconds per call:
   tree's own result for that grid into a ``StringIO``;
 - ``run_outage_curve`` with its Monte Carlo column, 1,000 draws, over 11
   powers (0 to 50 dB) x 81 thresholds (-10 to 30 dB);
-- the K1 trapezoid (``specfn._k1_scaled_trapezoid``) over 606, 2,000 and
-  10^4 arguments above 5.5 (606 is the largest call of the 51 x 801 grid);
+- the K1 trapezoid (``specfn._k1_scaled_trapezoid``) over 782, 2,000 and
+  10^4 arguments in [2.01, 700], above the series / trapezoid split at 2
+  (782 is the largest call of the 51 x 801 grid);
 - startup: a fresh interpreter, run in DIR, that imports ``dafsc.cli``;
   beside its wall time the file stores the child's VmHWM in kB.
 
@@ -60,7 +61,7 @@ OUTAGE_GAMMA_DB = [-10.0 + 0.05 * i for i in range(801)]
 MC_POWERS_DB = [5.0 * i for i in range(11)]
 MC_GAMMA_DB = [-10.0 + 0.5 * i for i in range(81)]
 MC_DRAWS = 1_000
-K1_SIZES = (606, 2_000, 10_000)
+K1_SIZES = (782, 2_000, 10_000)
 STARTUP = "import dafsc.cli\nprint(open('/proc/self/status').read().split('VmHWM:')[1].split()[0])"
 
 
@@ -92,7 +93,7 @@ def layers(src, peaks_kb, point_trials):
     outage_config = harness.ExperimentConfig(power_db=tuple(OUTAGE_POWERS_DB), q=0.7)
     mc_config = harness.ExperimentConfig(power_db=tuple(MC_POWERS_DB), q=0.7)
     grid = harness.run_outage_curve(outage_config, OUTAGE_GAMMA_DB)
-    k1_args = {n: np.geomspace(5.6, 700.0, n) for n in K1_SIZES}
+    k1_args = {n: np.geomspace(2.01, 700.0, n) for n in K1_SIZES}
 
     def seeding():
         return np.random.default_rng(harness.trial_seed_sequence(config.seed, 0, next(trial)))
@@ -233,7 +234,7 @@ def main(argv=None):
         f"into a StringIO; run_outage_curve with {MC_DRAWS} Monte Carlo draws "
         f"over {len(MC_POWERS_DB)} powers x {len(MC_GAMMA_DB)} thresholds; "
         f"the K1 trapezoid over {', '.join(map(str, K1_SIZES))} "
-        f"arguments in [5.6, 700]; a fresh interpreter importing dafsc.cli")
+        f"arguments in [2.01, 700]; a fresh interpreter importing dafsc.cli")
     runs = doc.setdefault("runs", {})
     for i, label in enumerate(args.label):
         runs[label] = result = summarize(

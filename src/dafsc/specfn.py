@@ -47,21 +47,24 @@ _K1_LOG_COEFFS = _K1_PSI * _K1_I1_COEFFS
 _E1_REACH = (1e-19 / np.abs(_E1_COEFFS)) ** (1.0 / (_K + 1))
 _K1_REACH = (1e-20 / np.maximum(np.abs(_K1_LOG_COEFFS), _K1_I1_COEFFS)) ** (
     1.0 / np.maximum(_K, 1))
-_K1_SPLIT = 5.5
-# Below it 1 - x K1(x) comes from the series without its leading 1, which
-# loses under 1 bit (see _k1_complement_series); above it 1 - x K1(x) >= 0.72
-# and the direct difference loses under 2 bits.
-_K1_COMPLEMENT_SPLIT = 2.0
+# Series / trapezoid split of K1.  Below it 1 - x K1(x) comes from the
+# series without its leading 1, which loses under 1 bit (see
+# _k1_complement_series), and exp(x)K1(x) = exp(x)(1 - c)/x from it, where
+# c <= 0.73 costs under 2 bits; above it exp(x)K1(x) is a trapezoid rule and
+# 1 - x K1(x) >= 0.72, so the direct difference loses under 2 bits.
+_K1_SPLIT = 2.0
 # Trapezoid nodes on [0, acosh(1 + 45/x)] for exp(x)K1(x) above the split;
-# 16 already reach machine precision over (5.5, 700].
+# 16 already reach machine precision over (2, 700] (8.8e-16 relative
+# against 50-digit mpmath at 246 points, 32 nodes 7.0e-16).
 _K1_NODES = 32
 _K1_NODE_INDEX = np.arange(1.0, _K1_NODES + 1.0)
 # Arguments per (nodes x arguments) block, set by A B B A runs of the
 # k1_trapezoid layers of benchmarks/bench_layers.py: at 606 arguments (the
-# largest call of a 51 x 801 outage grid) 512 took 228-232 us a call
-# against 265 (256) and 379 (1,024), and 3.0-3.2 ms against 3.4-4.0 at
-# 10^4.  The node loop this replaced is slower at 606 (307 us) but faster
-# from 2,000 arguments on (2.0 ms at 10^4).
+# largest call of a 51 x 801 outage grid while the series reached x = 5.5;
+# it is 782 since the split moved to 2) 512 took 228-232 us a call against
+# 265 (256) and 379 (1,024), and 3.0-3.2 ms against 3.4-4.0 at 10^4.  The
+# node loop this replaced is slower at 606 (307 us) but faster from 2,000
+# arguments on (2.0 ms at 10^4).
 _K1_BLOCK = 512
 
 # Both integrators accept an estimate once its error estimate is at most
@@ -119,28 +122,18 @@ def _e1_cf_scaled(x):
     return 1.0 / ((x + 1.0) - tail)
 
 
-def _k1_series_terms(x):
+def _k1_complement_series(x):
     # K1 = ln(x/2) I1(x) + 1/x - (x/4) sum_k (psi(k+1)+psi(k+2)) q^k/(k!(k+1)!)
-    # with q = x^2/4, for x <= 5.5; returns the first and the last term
+    # with q = x^2/4, for x <= 2, so 1 - x K1(x) = x (tail - ln(x/2) I1(x)):
+    # the series without its leading 1.  -ln(x/2) I1(x) > 0 up to x = 2; tail
+    # < 0 below x ~ 0.93 (its first coefficient is 1 - 2 gamma) but stays
+    # under 4 % of -ln(x/2) I1(x) there, so the sum loses less than one bit
     q = 0.25 * x * x
     n = _series_length(_K1_REACH, q.max())
     half_x = 0.5 * x
     i1 = half_x * _horner(_K1_I1_COEFFS[:n], q)
-    return np.log(half_x) * i1, 0.5 * half_x * _horner(_K1_LOG_COEFFS[:n], q)
-
-
-def _k1_series(x):
-    log_i1, tail = _k1_series_terms(x)
-    return log_i1 + 1.0 / x - tail
-
-
-def _k1_complement_series(x):
-    # 1 - x K1(x) = x (tail - ln(x/2) I1(x)): the series without its leading
-    # 1.  -ln(x/2) I1(x) > 0 up to x = 2; tail < 0 below x ~ 0.93 (its first
-    # coefficient is 1 - 2 gamma) but stays under 4 % of -ln(x/2) I1(x)
-    # there, so the sum loses less than one bit
-    log_i1, tail = _k1_series_terms(x)
-    return x * (tail - log_i1)
+    tail = 0.5 * half_x * _horner(_K1_LOG_COEFFS[:n], q)
+    return x * (tail - np.log(half_x) * i1)
 
 
 def _k1_scaled_trapezoid(x):
@@ -203,11 +196,13 @@ def scaled_e1(x):
 def bessel_k1_scaled(x):
     """Exponentially scaled exp(x) * K1(x) for x > 0 (no underflow).
 
-    Ascending series up to x = 5.5, exponentially convergent trapezoid
-    quadrature of the cosh-kernel integral representation above.
+    exp(x) (1 - c) / x from the complement c = 1 - x K1(x) of the ascending
+    series up to x = 2, exponentially convergent trapezoid quadrature of the
+    cosh-kernel integral representation above.
     """
     return _evaluate(x, "bessel_k1_scaled", _K1_SPLIT,
-                     lambda v: np.exp(v) * _k1_series(v), _k1_scaled_trapezoid)
+                     lambda v: np.exp(v) * (1.0 - _k1_complement_series(v)) / v,
+                     _k1_scaled_trapezoid)
 
 
 def bessel_k1_complement(x):
@@ -218,7 +213,7 @@ def bessel_k1_complement(x):
     1 - x e^(-x) (e^x K1(x)) above; 1.0, the limit, from x = 50 on, x = inf
     included.  Keeps the shape of ``x``; a float for a scalar.
     """
-    return _evaluate(x, "bessel_k1_complement", _K1_COMPLEMENT_SPLIT,
+    return _evaluate(x, "bessel_k1_complement", _K1_SPLIT,
                      _k1_complement_series, _k1_complement_large)
 
 

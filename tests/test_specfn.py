@@ -23,7 +23,8 @@ _EULER = 0.5772156649015328606
 
 # 40-digit mpmath values (mp.e1, mp.besselk) on both sides of the branch
 # points: E1's series / continued-fraction split and K1's series /
-# trapezoid split.
+# trapezoid split at x = 2, and around x = 5.5, where an ascending K1
+# series reaching that far loses ~1e-12 to cancellation.
 E1_STRADDLE = [
     (0.9, 0.26018393932599965, 0.6399492266392998),
     (0.99, 0.22309982579017723, 0.60041394194164),
@@ -37,6 +38,9 @@ E1_STRADDLE = [
     (2.1, 0.04261434150851506, 0.3479959534707185),
 ]
 K1_STRADDLE = [
+    (1.99, 0.14171756162240132),
+    (2.0, 0.13986588181652243),
+    (2.01, 0.1380408773192077),
     (5.0, 0.004044613445452165),
     (5.4, 0.0025966270401777966),
     (5.49, 0.0023513283592186554),
@@ -58,6 +62,27 @@ K1_COMPLEMENT = [
     (2.01, 0.72253783658839254),
     (5.0, 0.97977693277273918),
     (20.0, 0.99999998823388406),
+]
+# 40-digit mpmath values (x, K1(x), 1 - x K1(x)) across the split at x = 2
+# and over (2, 5.5], where an ascending series would cancel: both forms
+# must hold a few ulp on either side.
+K1_BOTH_FORMS = [
+    (1.5, 0.2773878004568438, 0.5839182993147343),
+    (1.99, 0.14171756162240132, 0.7179820523714214),
+    (2.0, 0.13986588181652243, 0.7202682363669551),
+    (2.01, 0.1380408773192077, 0.7225378365883925),
+    (2.5, 0.07389081634774707, 0.8152729591306324),
+    (3.0, 0.040156431128194184, 0.8795307066154174),
+    (3.5, 0.022239392925923834, 0.9221621247592666),
+    (4.0, 0.012483498887268431, 0.9500660044509263),
+    (4.5, 0.00707809490896809, 0.9681485729096436),
+    (5.0, 0.004044613445452165, 0.9797769327727391),
+    (5.25, 0.003064795171512024, 0.9839098253495618),
+    (5.49, 0.0023513283592186554, 0.9870912073078896),
+    (5.5, 0.0023255690088490053, 0.9872093704513305),
+    (5.51, 0.0023000964798673158, 0.9873264683959311),
+    (6.0, 0.001343919717735509, 0.991936481693587),
+    (8.0, 0.00015536921180500115, 0.99875704630556),
 ]
 
 
@@ -145,7 +170,7 @@ class TestScaledE1:
 
 class TestBesselK1:
     # K1 through bessel_k1_scaled, which runs both K1 kernels: the series
-    # up to x = 5.5 and the trapezoid rule above
+    # up to x = 2 and the trapezoid rule above
     def test_small_argument_limit(self):
         # x * K1(x) -> 1
         assert 1e-8 * bessel_k1_scaled(1e-8) == pytest.approx(1.0, abs=1e-6)
@@ -179,6 +204,15 @@ class TestBesselK1:
         assert np.all(xk1 > 0) and np.all(xk1 <= 1.0 + 1e-12)
         assert np.all(np.diff(xk1) < 1e-12)
 
+    def test_both_forms_match_mpmath_to_a_few_ulp(self):
+        x = np.array([row[0] for row in K1_BOTH_FORMS])
+        k1 = np.array([row[1] for row in K1_BOTH_FORMS])
+        complement = np.array([row[2] for row in K1_BOTH_FORMS])
+        got_k1 = np.exp(-x) * bessel_k1_scaled(x)
+        assert np.max(np.abs(got_k1 - k1) / k1) <= 2e-15
+        got_complement = bessel_k1_complement(x)
+        assert np.max(np.abs(got_complement - complement) / complement) <= 2e-15
+
     def test_domain_error(self):
         with pytest.raises(ValueError):
             bessel_k1_scaled(0.0)
@@ -198,12 +232,14 @@ def _k1_trapezoid_node_loop(x):
 
 
 class TestK1Trapezoid:
-    # arguments on both sides of the series / trapezoid split, up to 700;
-    # the 2,500-argument array spans several argument blocks
-    X = np.concatenate((np.linspace(5.0, 6.0, 41), np.geomspace(6.0, 700.0, 59)))
+    # arguments on both sides of the series / trapezoid split at x = 2 and
+    # around 5.5, up to 700; the 2,500-argument array spans several
+    # argument blocks
+    X = np.concatenate((np.linspace(1.5, 2.5, 20), np.linspace(5.0, 6.0, 41),
+                        np.geomspace(6.0, 700.0, 59)))
     LONG = np.random.default_rng(3).uniform(5.0, 700.0, 2_500)
 
-    @pytest.mark.parametrize("shape", [(), (100,), (4, 25), (2_500,)],
+    @pytest.mark.parametrize("shape", [(), (120,), (4, 30), (2_500,)],
                              ids=["0d", "1d", "2d", "blocks"])
     def test_bitwise_equal_to_node_loop(self, shape):
         if shape == ():
