@@ -7,13 +7,33 @@ sum-of-sinusoids route :func:`sos_taps_direct` evaluates every sinusoid one
 by one, the definition that the production synthesizer evaluates by angle
 addition.  :func:`static_dbpsk_selection_errors` runs DBPSK symbol by
 symbol over static channels under two selection rules, to tell which
-receiver the exact BER describes.  The analytical oracles live in
-:mod:`dafsc.validate`.
+receiver the exact BER describes.  :func:`mpmath_special_values` gives
+the 40-digit values the special-function kernels are checked against.  The
+analytical oracles live in :mod:`dafsc.validate`.
 """
 
+import functools
 import math
 
+import mpmath as mp
 import numpy as np
+
+
+@functools.cache
+def mpmath_special_values(xs):
+    """E1(x), e^x E1(x), K1(x) and 1 - x K1(x) at each float x of the tuple
+    ``xs``, evaluated by mpmath at 40 digits and rounded to float: four
+    read-only arrays.  Cached, so each argument list is evaluated once per
+    pytest run and every caller shares the arrays."""
+    values = []
+    with mp.workdps(40):
+        for x in map(mp.mpf, xs):
+            e1, k1 = mp.e1(x), mp.besselk(1, x)
+            values.append([float(v) for v in (e1, mp.exp(x) * e1, k1, 1 - x * k1)])
+    columns = tuple(np.array(column) for column in zip(*values))
+    for column in columns:
+        column.flags.writeable = False
+    return columns
 
 
 def step_chain_counts(v_idx, h_sd, h_sr, h_rd, w_sd, w_sr, w_rd, profile, mod,

@@ -15,11 +15,11 @@ import numpy as np
 import pytest
 from scipy.special import j0
 
-from dafsc import _reference_tables as tables
 from dafsc import analysis, harness, specfn
 from dafsc.fading import FadingConfig, generate_fading
 from dafsc.phy import ModulationParams, PowerProfile
-from dafsc.validate import oracle_ber_2d, outage_quadrature
+from dafsc.validate import E1_X, K1_X, oracle_ber_2d, outage_quadrature
+from oracles import mpmath_special_values
 
 MODS = {"dbpsk": ModulationParams.dbpsk(), "dqpsk": ModulationParams.dqpsk()}
 SEED = harness.DEFAULT_SEED
@@ -202,14 +202,13 @@ class TestCriterion6OutageClosedForm:
 class TestCriterion7SpecialFunctions:
     def test_oracle_grids(self):
         rel = lambda got, want: float(np.max(np.abs(got - want) / np.abs(want)))
-        # the kernels the closed forms call
+        _, e1_scaled, _, _ = mpmath_special_values(tuple(E1_X))
+        _, _, k1, k1_complement = mpmath_special_values(tuple(K1_X))
+        # the kernels the closed forms call, against 40-digit mpmath
         checks = {
-            "scaled E1": (rel(specfn.scaled_e1(tables.E1_X),
-                              tables.SCALED_E1_VALUES), 1e-10),
-            "scaled K1": (rel(specfn.bessel_k1_scaled(tables.K1_X),
-                              tables.K1_VALUES * np.exp(tables.K1_X)), 1e-10),
-            "1 - x K1": (rel(specfn.bessel_k1_complement(tables.K1_X),
-                             tables.K1_COMPLEMENT_VALUES), 1e-13),
+            "scaled E1": (rel(specfn.scaled_e1(E1_X), e1_scaled), 1e-10),
+            "scaled K1": (rel(specfn.bessel_k1_scaled(K1_X), k1 * np.exp(K1_X)), 1e-10),
+            "1 - x K1": (rel(specfn.bessel_k1_complement(K1_X), k1_complement), 1e-13),
         }
         passed = all(err <= bound for err, bound in checks.values())
         detail = ", ".join(f"{k} {err:.2e} (<= {bound:g})"

@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-from dafsc import _reference_tables as tables
 from dafsc import specfn
 from dafsc.specfn import (
     PERIODIC_NODE_SETS,
@@ -18,72 +17,24 @@ from dafsc.specfn import (
     periodic_nodes,
     scaled_e1,
 )
+from dafsc.validate import E1_X, K1_X
+from oracles import mpmath_special_values
 
 _EULER = 0.5772156649015328606
 
-# 40-digit mpmath values (mp.e1, mp.besselk) on both sides of the branch
-# points: E1's series / continued-fraction split and K1's series /
+# arguments on both sides of the branch points, checked against 40-digit
+# mpmath: E1's series / continued-fraction split and K1's series /
 # trapezoid split at x = 2, and around x = 5.5, where an ascending K1
-# series reaching that far loses ~1e-12 to cancellation.
-E1_STRADDLE = [
-    (0.9, 0.26018393932599965, 0.6399492266392998),
-    (0.99, 0.22309982579017723, 0.60041394194164),
-    (1.0, 0.21938393439552029, 0.5963473623231941),
-    (1.01, 0.21574162379448997, 0.5923404212715494),
-    (1.1, 0.18599090453604014, 0.5587475561702363),
-    (1.9, 0.05620437817453486, 0.3757765396688848),
-    (1.99, 0.04958229052673643, 0.3627209203609822),
-    (2.0, 0.04890051070806112, 0.3613286168882226),
-    (2.01, 0.048228881303484766, 0.35994744647409616),
-    (2.1, 0.04261434150851506, 0.3479959534707185),
-]
-K1_STRADDLE = [
-    (1.99, 0.14171756162240132),
-    (2.0, 0.13986588181652243),
-    (2.01, 0.1380408773192077),
-    (5.0, 0.004044613445452165),
-    (5.4, 0.0025966270401777966),
-    (5.49, 0.0023513283592186554),
-    (5.5, 0.0023255690088490053),
-    (5.51, 0.0023000964798673158),
-    (5.6, 0.00208322495060979),
-    (6.0, 0.001343919717735509),
-]
-# 40-digit mpmath values of 1 - x K1(x), down to where x K1(x) rounds to 1
-# and across the series / direct split at x = 2.
-K1_COMPLEMENT = [
-    (1e-12, 1.412347631579348e-23),
-    (1e-06, 7.2157210368122915e-12),
-    (0.001, 3.7618439144257222e-6),
-    (0.1, 0.014615521912939388),
-    (1.0, 0.39809276980276543),
-    (1.99, 0.7179820523714214),
-    (2.0, 0.72026823636695515),
-    (2.01, 0.72253783658839254),
-    (5.0, 0.97977693277273918),
-    (20.0, 0.99999998823388406),
-]
-# 40-digit mpmath values (x, K1(x), 1 - x K1(x)) across the split at x = 2
-# and over (2, 5.5], where an ascending series would cancel: both forms
-# must hold a few ulp on either side.
-K1_BOTH_FORMS = [
-    (1.5, 0.2773878004568438, 0.5839182993147343),
-    (1.99, 0.14171756162240132, 0.7179820523714214),
-    (2.0, 0.13986588181652243, 0.7202682363669551),
-    (2.01, 0.1380408773192077, 0.7225378365883925),
-    (2.5, 0.07389081634774707, 0.8152729591306324),
-    (3.0, 0.040156431128194184, 0.8795307066154174),
-    (3.5, 0.022239392925923834, 0.9221621247592666),
-    (4.0, 0.012483498887268431, 0.9500660044509263),
-    (4.5, 0.00707809490896809, 0.9681485729096436),
-    (5.0, 0.004044613445452165, 0.9797769327727391),
-    (5.25, 0.003064795171512024, 0.9839098253495618),
-    (5.49, 0.0023513283592186554, 0.9870912073078896),
-    (5.5, 0.0023255690088490053, 0.9872093704513305),
-    (5.51, 0.0023000964798673158, 0.9873264683959311),
-    (6.0, 0.001343919717735509, 0.991936481693587),
-    (8.0, 0.00015536921180500115, 0.99875704630556),
-]
+# series reaching that far loses ~1e-12 to cancellation
+E1_STRADDLE = (0.9, 0.99, 1.0, 1.01, 1.1, 1.9, 1.99, 2.0, 2.01, 2.1)
+K1_STRADDLE = (1.99, 2.0, 2.01, 5.0, 5.4, 5.49, 5.5, 5.51, 5.6, 6.0)
+# arguments of 1 - x K1(x), down to where x K1(x) rounds to 1 and across
+# the series / direct split at x = 2
+K1_COMPLEMENT = (1e-12, 1e-06, 0.001, 0.1, 1.0, 1.99, 2.0, 2.01, 5.0, 20.0)
+# arguments across the split at x = 2 and over (2, 5.5], where an ascending
+# series would cancel: both forms must hold a few ulp on either side
+K1_BOTH_FORMS = (1.5, 1.99, 2.0, 2.01, 2.5, 3.0, 3.5, 4.0, 4.5, 5.0, 5.25, 5.49,
+                 5.5, 5.51, 6.0, 8.0)
 
 
 def e1_series_oracle(x: float) -> float:
@@ -117,9 +68,9 @@ class TestExpIntegral:
         assert 500.0 * scaled_e1(500.0) == pytest.approx(1.0, abs=1e-2)
 
     def test_frozen_oracle_grid(self):
-        got = np.exp(-tables.E1_X) * scaled_e1(tables.E1_X)
-        rel = np.abs(got - tables.E1_VALUES) / np.abs(tables.E1_VALUES)
-        assert rel.max() <= 1e-12
+        want = mpmath_special_values(tuple(E1_X))[0]
+        got = np.exp(-E1_X) * scaled_e1(E1_X)
+        assert np.max(np.abs(got - want) / want) <= 1e-12
 
     def test_domain_error(self):
         with pytest.raises(ValueError):
@@ -159,9 +110,8 @@ class TestScaledE1:
         assert scaled_e1(1e-10) == pytest.approx(e1_series_oracle(1e-10), rel=1e-9)
 
     def test_frozen_oracle_grid(self):
-        got = scaled_e1(tables.E1_X)
-        rel = np.abs(got - tables.SCALED_E1_VALUES) / np.abs(tables.SCALED_E1_VALUES)
-        assert rel.max() <= 1e-10
+        want = mpmath_special_values(tuple(E1_X))[1]
+        assert np.max(np.abs(scaled_e1(E1_X) - want) / want) <= 1e-10
 
     def test_domain_error(self):
         with pytest.raises(ValueError):
@@ -181,9 +131,8 @@ class TestBesselK1:
                                                        rel=1e-10)
 
     def test_frozen_oracle_grid(self):
-        got = bessel_k1_scaled(tables.K1_X)
-        want = tables.K1_VALUES * np.exp(tables.K1_X)
-        assert np.max(np.abs(got - want) / want) <= 1e-10
+        want = mpmath_special_values(tuple(K1_X))[2] * np.exp(K1_X)
+        assert np.max(np.abs(bessel_k1_scaled(K1_X) - want) / want) <= 1e-10
 
     def test_scaled_variant(self):
         from scipy.special import k1e
@@ -205,9 +154,8 @@ class TestBesselK1:
         assert np.all(np.diff(xk1) < 1e-12)
 
     def test_both_forms_match_mpmath_to_a_few_ulp(self):
-        x = np.array([row[0] for row in K1_BOTH_FORMS])
-        k1 = np.array([row[1] for row in K1_BOTH_FORMS])
-        complement = np.array([row[2] for row in K1_BOTH_FORMS])
+        x = np.array(K1_BOTH_FORMS)
+        _, _, k1, complement = mpmath_special_values(K1_BOTH_FORMS)
         got_k1 = np.exp(-x) * bessel_k1_scaled(x)
         assert np.max(np.abs(got_k1 - k1) / k1) <= 2e-15
         got_complement = bessel_k1_complement(x)
@@ -257,15 +205,14 @@ class TestK1Trapezoid:
 
 class TestBesselK1Complement:
     def test_matches_mpmath(self):
-        x = np.array([row[0] for row in K1_COMPLEMENT])
-        want = np.array([row[1] for row in K1_COMPLEMENT])
+        x = np.array(K1_COMPLEMENT)
+        want = mpmath_special_values(K1_COMPLEMENT)[3]
         got = bessel_k1_complement(x)
         assert np.max(np.abs(got - want) / want) <= 1e-13
 
     def test_frozen_oracle_grid(self):
-        got = bessel_k1_complement(tables.K1_X)
-        want = tables.K1_COMPLEMENT_VALUES
-        assert np.max(np.abs(got - want) / want) <= 1e-13
+        want = mpmath_special_values(tuple(K1_X))[3]
+        assert np.max(np.abs(bessel_k1_complement(K1_X) - want) / want) <= 1e-13
 
     def test_domain_error(self):
         with pytest.raises(ValueError):
@@ -288,21 +235,21 @@ class TestArrayEvaluation:
 
     def test_e1_straddling_split(self):
         # one array crossing x = 1 and the series / fraction split at 2,
-        # mixed with the frozen grid, at the frozen-table bounds
-        x = np.array([row[0] for row in E1_STRADDLE])
-        mixed = np.concatenate((x, tables.E1_X))
+        # mixed with the grid, at the grid bounds
+        mixed = np.concatenate((E1_STRADDLE, E1_X))
+        straddle = mpmath_special_values(E1_STRADDLE)
+        grid = mpmath_special_values(tuple(E1_X))
+        want_e1 = np.concatenate((straddle[0], grid[0]))
+        want_se1 = np.concatenate((straddle[1], grid[1]))
         se1 = scaled_e1(mixed)
-        want_e1 = np.concatenate(([row[1] for row in E1_STRADDLE], tables.E1_VALUES))
-        want_se1 = np.concatenate(([row[2] for row in E1_STRADDLE],
-                                   tables.SCALED_E1_VALUES))
         e1 = np.exp(-mixed) * se1
         assert np.max(np.abs(e1 - want_e1) / want_e1) <= 1e-12
         assert np.max(np.abs(se1 - want_se1) / want_se1) <= 1e-10
 
     def test_k1_straddling_split(self):
-        x = np.array([row[0] for row in K1_STRADDLE])
-        mixed = np.concatenate((x, tables.K1_X)).reshape(-1, 1)
-        want = np.concatenate(([row[1] for row in K1_STRADDLE], tables.K1_VALUES))
+        mixed = np.concatenate((K1_STRADDLE, K1_X)).reshape(-1, 1)
+        want = np.concatenate((mpmath_special_values(K1_STRADDLE)[2],
+                               mpmath_special_values(tuple(K1_X))[2]))
         got = np.exp(-mixed[:, 0]) * bessel_k1_scaled(mixed)[:, 0]
         assert np.max(np.abs(got - want) / want) <= 1e-10
 
