@@ -26,7 +26,10 @@ fresh process and times, in microseconds per call:
   powers (0 to 50 dB) x 81 thresholds (-10 to 30 dB);
 - the K1 trapezoid (``specfn._k1_scaled_trapezoid``) over 782, 2,000 and
   10^4 arguments in [2.01, 700], above the series / trapezoid split at 2
-  (782 is the largest call of the 51 x 801 grid);
+  (782 is the largest call of the 51 x 801 grid), and, as ``k1_grid``, over
+  the arguments of every trapezoid call that ``run_outage_curve`` makes on
+  that grid (36 calls of 5 to 782 arguments, 13,237 in all), one after
+  another;
 - startup: a fresh interpreter, run in DIR, that imports ``dafsc.cli``;
   beside its wall time the file stores the child's VmHWM in kB.
 
@@ -92,7 +95,13 @@ def layers(src, peaks_kb, point_trials):
     thresholds = 10.0 ** (np.linspace(-10.0, 30.0, OUTAGE_THRESHOLDS) / 10.0)
     outage_config = harness.ExperimentConfig(power_db=tuple(OUTAGE_POWERS_DB), q=0.7)
     mc_config = harness.ExperimentConfig(power_db=tuple(MC_POWERS_DB), q=0.7)
-    grid = harness.run_outage_curve(outage_config, OUTAGE_GAMMA_DB)
+    k1_grid_args = []
+    trapezoid = specfn._k1_scaled_trapezoid
+    specfn._k1_scaled_trapezoid = lambda x: k1_grid_args.append(x) or trapezoid(x)
+    try:
+        grid = harness.run_outage_curve(outage_config, OUTAGE_GAMMA_DB)
+    finally:
+        specfn._k1_scaled_trapezoid = trapezoid
     k1_args = {n: np.geomspace(2.01, 700.0, n) for n in K1_SIZES}
 
     def seeding():
@@ -120,6 +129,7 @@ def layers(src, peaks_kb, point_trials):
             mc_config, MC_GAMMA_DB, mc_draws=MC_DRAWS), 2),
         *((f"k1_trapezoid_{n}", lambda x=x: specfn._k1_scaled_trapezoid(x), 20)
           for n, x in k1_args.items()),
+        ("k1_grid", lambda: [specfn._k1_scaled_trapezoid(x) for x in k1_grid_args], 20),
         ("startup", lambda: start_child(src, peaks_kb), 4),
     ]
 
@@ -234,7 +244,8 @@ def main(argv=None):
         f"into a StringIO; run_outage_curve with {MC_DRAWS} Monte Carlo draws "
         f"over {len(MC_POWERS_DB)} powers x {len(MC_GAMMA_DB)} thresholds; "
         f"the K1 trapezoid over {', '.join(map(str, K1_SIZES))} "
-        f"arguments in [2.01, 700]; a fresh interpreter importing dafsc.cli")
+        f"arguments in [2.01, 700] and over the arguments of every trapezoid "
+        f"call of that outage grid; a fresh interpreter importing dafsc.cli")
     runs = doc.setdefault("runs", {})
     for i, label in enumerate(args.label):
         runs[label] = result = summarize(

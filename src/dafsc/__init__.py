@@ -26,11 +26,7 @@ from .harness import (
     run_power_allocation_sweep,
 )
 from .phy import ModulationParams, PowerProfile
-from .specfn import (
-    QuadratureConvergenceError,
-    integrate_theta,
-    scaled_e1,
-)
+from .specfn import QuadratureConvergenceError, scaled_e1
 from .validate import run_validation_suite
 
 __version__ = "0.1.0"
@@ -58,7 +54,6 @@ __all__ = [
     "ModulationParams",
     "PowerProfile",
     "QuadratureConvergenceError",
-    "integrate_theta",
     "scaled_e1",
     "__version__",
 ]

@@ -22,15 +22,29 @@ import numpy as np
 
 _SQRT2 = math.sqrt(2.0)
 
+# Per constellation order: bits per symbol and the constants a, b of the
+# differential detector's bit-error integral (Proakis, App. B)
+_ORDER_CONSTANTS = {
+    2: (1, 0.0, _SQRT2),
+    4: (2, math.sqrt(2.0 - _SQRT2), math.sqrt(2.0 + _SQRT2)),
+}
+
 
 @dataclass(frozen=True)
 class ModulationParams:
-    """Constellation order plus the constants of the differential
-    bit-error integrand (a, b and their ratio beta)."""
+    """A differential PSK constellation, given by its order (2: DBPSK,
+    4: DQPSK), which fixes the constants of the differential bit-error
+    integrand (a, b and their ratio beta)."""
 
     order: int
-    a: float
-    b: float
+
+    @property
+    def a(self) -> float:
+        return _ORDER_CONSTANTS[self.order][1]
+
+    @property
+    def b(self) -> float:
+        return _ORDER_CONSTANTS[self.order][2]
 
     @property
     def beta(self) -> float:
@@ -38,15 +52,15 @@ class ModulationParams:
 
     @property
     def bits_per_symbol(self) -> int:
-        return int(math.log2(self.order))
+        return _ORDER_CONSTANTS[self.order][0]
 
     @classmethod
     def dbpsk(cls) -> "ModulationParams":
-        return cls(order=2, a=0.0, b=_SQRT2)
+        return cls(order=2)
 
     @classmethod
     def dqpsk(cls) -> "ModulationParams":
-        return cls(order=4, a=math.sqrt(2.0 - _SQRT2), b=math.sqrt(2.0 + _SQRT2))
+        return cls(order=4)
 
     @classmethod
     def from_name(cls, name: str) -> "ModulationParams":
@@ -60,8 +74,6 @@ class ModulationParams:
     def __post_init__(self):
         if self.order not in (2, 4):
             raise ValueError("order must be 2 or 4")
-        if not (0.0 <= self.a / self.b < 1.0):
-            raise ValueError("require 0 <= a/b < 1")
 
 
 @dataclass(frozen=True)

@@ -58,13 +58,16 @@ _K1_SPLIT = 2.0
 # against 50-digit mpmath at 246 points, 32 nodes 7.0e-16).
 _K1_NODES = 32
 _K1_NODE_INDEX = np.arange(1.0, _K1_NODES + 1.0)
-# Arguments per (nodes x arguments) block, set by A B B A runs of the
-# k1_trapezoid layers of benchmarks/bench_layers.py: at 606 arguments (the
-# largest call of a 51 x 801 outage grid while the series reached x = 5.5;
-# it is 782 since the split moved to 2) 512 took 228-232 us a call against
-# 265 (256) and 379 (1,024), and 3.0-3.2 ms against 3.4-4.0 at 10^4.  The
-# node loop this replaced is slower at 606 (307 us) but faster from 2,000
-# arguments on (2.0 ms at 10^4).
+# Arguments per (nodes x arguments) block.  A 51 x 801 outage grid makes 36
+# trapezoid calls of 5 to 782 arguments, 13,237 in all; the k1_grid layer
+# of benchmarks/bench_layers.py times them at 1.80 ms (BENCH_27.json,
+# 2-vCPU AMD EPYC); the node loop this replaced takes 3.7-3.9 ms over the
+# same calls (best of 7 x 20 runs).  Blocks are about 3x faster up to 250
+# arguments (35 us against 97 us at 250) and still ahead at 782 (88 against
+# 132 us); the node loop wins from about 900 arguments on (145 against
+# 158 us at 900, 0.61 against 1.08 ms at 10^4), which only a call with
+# more thresholds per power reaches (10^4 thresholds at 30 dB send 1,309
+# arguments).
 _K1_BLOCK = 512
 
 # Both integrators accept an estimate once its error estimate is at most

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -50,7 +51,9 @@ class TestAngleWeights:
 
     @pytest.mark.parametrize("beta", [0.0, DQPSK.beta, 0.2, 0.8])
     def test_weight_integrates_to_two_pi(self, beta):
-        mod = ModulationParams(order=4, a=beta * 2.0, b=2.0) if beta else DBPSK
+        # angle_weights reads only beta, b and bits_per_symbol, so a stand-in
+        # can carry a beta that no constellation has
+        mod = SimpleNamespace(beta=beta, b=2.0, bits_per_symbol=2) if beta else DBPSK
         total = integrate_theta(lambda th: angle_weights(th, mod)[0])
         assert total == pytest.approx(2.0 * math.pi, rel=1e-10)
 

@@ -2,14 +2,12 @@
 
 import math
 
+import hypothesis
 import numpy as np
-import pytest
+from hypothesis import strategies as st
 
 from dafsc.phy import ModulationParams, PowerProfile, chain_error_counts
 from oracles import step_chain_counts
-
-hypothesis = pytest.importorskip("hypothesis")
-st = hypothesis.strategies
 
 
 @hypothesis.settings(derandomize=True, deadline=None, max_examples=300)

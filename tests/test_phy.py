@@ -29,6 +29,19 @@ class TestModulationParams:
         with pytest.raises(ValueError):
             ModulationParams.from_name("qam16")
 
+    def test_order_is_the_only_setting(self):
+        # a and b follow from the order, so a mismatched pair cannot be built
+        with pytest.raises(TypeError):
+            ModulationParams(4, 0.0, math.sqrt(2.0))
+        with pytest.raises(TypeError):
+            ModulationParams(order=4, a=0.0)
+        with pytest.raises(TypeError):
+            ModulationParams(order=4, b=math.sqrt(2.0))
+        with pytest.raises(ValueError):
+            ModulationParams(3)
+        assert ModulationParams(2) == ModulationParams.dbpsk()
+        assert ModulationParams(4) == ModulationParams.dqpsk()
+
 
 class TestPowerProfile:
     def test_split_and_default_gain(self):
