@@ -71,7 +71,7 @@ def conditional_gamma_max_cdf(gamma, p0: float, c: float):
     if not (p0 > 0.0 and c > 0.0):
         raise ValueError("p0 and c must be > 0")
     g = np.asarray(gamma, dtype=np.float64)
-    if g.size and np.min(g) < 0.0:
+    if g.size and not np.min(g) >= 0.0:  # NaN fails it too
         raise ValueError("gamma must be >= 0")
     out = (1.0 - np.exp(-g / p0)) * (1.0 - np.exp(-g / c))
     return float(out) if out.ndim == 0 else out
@@ -171,7 +171,7 @@ def outage_probability(gamma_th, profile: PowerProfile):
     [0, 1], a float for a scalar.
     """
     g = np.asarray(gamma_th, dtype=np.float64)
-    if g.size and np.min(g) < 0.0:
+    if g.size and not np.min(g) >= 0.0:  # NaN fails it too
         raise ValueError("gamma_th must be >= 0")
     p0 = profile.p0
     a2 = profile.amplification**2

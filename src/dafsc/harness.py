@@ -132,12 +132,10 @@ def _run_trial(config: ExperimentConfig, profile: PowerProfile,
     taps = [generate_fading(config.fading, n_uses, rng) for _ in range(3)]
     noise = [generate_awgn(rng, n_uses) for _ in range(3)]
     v_idx = rng.integers(0, mod.order, config.frames_per_trial * config.frame_length)
-    err_sc, err_mrc = chain_error_counts(
+    return chain_error_counts(
         v_idx, *taps, *noise, profile=profile, mod=mod,
         frame_len=config.frame_length,
     )
-    bits = config.frames_per_trial * config.frame_length * mod.bits_per_symbol
-    return err_sc, err_mrc, bits
 
 
 @dataclass(frozen=True)
@@ -151,13 +149,16 @@ class PointEstimate:
     reached_target: bool
 
 
-def _halfwidth(errors, bits_total, per_trial_rates, n_trials):
-    p = errors / bits_total
-    se_binom = math.sqrt(p * (1.0 - p) / bits_total)
+def _estimate(errors, trial_bits):
+    """One combiner's BER and 95 % half-width from its per-trial bit errors."""
+    n = errors.size
+    bits = n * trial_bits
+    p = int(errors.sum()) / bits
+    se_binom = math.sqrt(p * (1.0 - p) / bits)
     se_cluster = 0.0
-    if n_trials > 1:
-        se_cluster = float(np.std(per_trial_rates, ddof=1)) / math.sqrt(n_trials)
-    return 1.96 * max(se_binom, se_cluster)
+    if n > 1:
+        se_cluster = float(np.std(errors / trial_bits, ddof=1)) / math.sqrt(n)
+    return p, 1.96 * max(se_binom, se_cluster)
 
 
 def simulate_point(config: ExperimentConfig, profile: PowerProfile,
@@ -171,38 +172,37 @@ def simulate_point(config: ExperimentConfig, profile: PowerProfile,
     trial_symbols`` whole trials run.  The occupancy floor matters in slow
     fading: errors arrive in bursts, and the between-trial standard error
     is only trustworthy once enough independent trials have contributed
-    errors.
+    errors.  Every estimate derives from one record, the (trials x 2)
+    array of each trial's (SC, semi-MRC) bit errors.
     """
     trial_symbols = config.frames_per_trial * config.frame_length
+    trial_bits = trial_symbols * config.mod.bits_per_symbol
     max_trials = config.max_symbols // trial_symbols
-    err_sc = err_mrc = bits = 0
-    occupied_sc = occupied_mrc = 0
-    rates_sc = []
-    rates_mrc = []
+    batches = []
+    total = np.zeros(2, dtype=np.int64)
+    occupied = np.zeros(2, dtype=np.int64)
     trial = 0
     reached_target = False
     while not reached_target and trial < max_trials:
         stop = min(trial + config.batch_trials, max_trials)
-        for t in range(trial, stop):
-            e_sc, e_mrc, b = _run_trial(config, profile, point_index, t)
-            err_sc += e_sc
-            err_mrc += e_mrc
-            bits += b
-            occupied_sc += e_sc > 0
-            occupied_mrc += e_mrc > 0
-            rates_sc.append(e_sc / b)
-            rates_mrc.append(e_mrc / b)
+        batch = np.array([_run_trial(config, profile, point_index, t)
+                          for t in range(trial, stop)], dtype=np.int64)
+        batches.append(batch)
+        total += batch.sum(axis=0)
+        occupied += np.count_nonzero(batch, axis=0)
         trial = stop
-        reached_target = (min(err_sc, err_mrc) >= config.min_bit_errors
-                          and min(occupied_sc, occupied_mrc) >= config.min_error_trials)
-    n = len(rates_sc)
+        reached_target = bool(total.min() >= config.min_bit_errors
+                              and occupied.min() >= config.min_error_trials)
+    errors = np.concatenate(batches)
+    ber_sc, ci_sc = _estimate(errors[:, 0], trial_bits)
+    ber_mrc, ci_mrc = _estimate(errors[:, 1], trial_bits)
     return PointEstimate(
-        ber_sc=err_sc / bits,
-        ber_mrc=err_mrc / bits,
-        ci_sc=_halfwidth(err_sc, bits, rates_sc, n),
-        ci_mrc=_halfwidth(err_mrc, bits, rates_mrc, n),
-        bits=bits,
-        trials=n,
+        ber_sc=ber_sc,
+        ber_mrc=ber_mrc,
+        ci_sc=ci_sc,
+        ci_mrc=ci_mrc,
+        bits=len(errors) * trial_bits,
+        trials=len(errors),
         reached_target=reached_target,
     )
 

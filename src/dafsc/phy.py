@@ -72,7 +72,8 @@ class ModulationParams:
         raise ValueError(f"unknown modulation {name!r} (use dbpsk or dqpsk)")
 
     def __post_init__(self):
-        if self.order not in (2, 4):
+        # 4.0 == 4, but the chain's bit arithmetic needs an int order
+        if not isinstance(self.order, int) or self.order not in (2, 4):
             raise ValueError("order must be 2 or 4")
 
 
@@ -164,6 +165,8 @@ def chain_error_counts(
     where n_frames = len(v_idx) / frame_len; each frame restarts the
     differential reference.  Returns (bit_errors_sc, bit_errors_mrc).
     """
+    if frame_len < 1:
+        raise ValueError("frame_len must be >= 1")
     v_idx = np.ascontiguousarray(v_idx, dtype=np.int64)
     if v_idx.size % frame_len:
         raise ValueError("v_idx length must be a multiple of frame_len")

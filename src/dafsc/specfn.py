@@ -166,7 +166,7 @@ def _evaluate(x, name, split, below, above):
     Keeps the shape of ``x`` and returns a float for a scalar."""
     arr = np.asarray(x, dtype=np.float64)
     flat = arr.reshape(-1)
-    if flat.size and flat.min() <= 0.0:
+    if flat.size and not flat.min() > 0.0:  # NaN fails it too
         raise ValueError(f"{name} requires strictly positive arguments")
     low = flat <= split
     if not flat.size:

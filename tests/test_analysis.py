@@ -89,6 +89,9 @@ class TestConditionalCdf:
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             conditional_gamma_max_cdf(-1.0, 1.0, 1.0)
+        for bad in (math.nan, np.array([1.0, math.nan])):
+            with pytest.raises(ValueError, match="gamma must be >= 0"):
+                conditional_gamma_max_cdf(bad, 1.0, 1.0)
         with pytest.raises(ValueError):
             conditional_gamma_max_cdf(1.0, 0.0, 1.0)
 
@@ -401,6 +404,9 @@ class TestOutage:
             outage_probability(-0.5, PowerProfile.from_db(10.0, 0.5))
         with pytest.raises(ValueError):
             outage_probability(np.array([1.0, -0.5]), PowerProfile.from_db(10.0, 0.5))
+        for bad in (math.nan, np.array([1.0, math.nan])):
+            with pytest.raises(ValueError, match="gamma_th must be >= 0"):
+                outage_probability(bad, PowerProfile.from_db(10.0, 0.5))
 
     def test_array_shapes(self):
         prof = PowerProfile.from_db(15.0, 0.7)

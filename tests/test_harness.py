@@ -275,9 +275,8 @@ class TestTrialStreams:
         cfg = ExperimentConfig(modulation=modulation, seed=DEFAULT_SEED)
         assert (cfg.frames_per_trial, cfg.frame_length) == (2, 500)
         profile = cfg.profile(power_db)
-        bits = 1000 * cfg.mod.bits_per_symbol
         got = [harness._run_trial(cfg, profile, 0, t) for t in range(64)]
-        want = [(*self.PINNED[key].get(t, (0, 0)), bits) for t in range(64)]
+        want = [self.PINNED[key].get(t, (0, 0)) for t in range(64)]
         assert got == want
 
     @pytest.mark.parametrize("modulation", ["dbpsk", "dqpsk"])
@@ -295,8 +294,62 @@ class TestTrialStreams:
             v_idx = rng.integers(0, cfg.mod.order, 3 * 7)
             want = chain_error_counts(v_idx, *taps, *noise, profile=profile,
                                       mod=cfg.mod, frame_len=7)
-            bits = 3 * 7 * cfg.mod.bits_per_symbol
-            assert harness._run_trial(cfg, profile, point, trial) == (*want, bits)
+            assert harness._run_trial(cfg, profile, point, trial) == want
+
+
+class TestSimulatePointDefinition:
+    """Every ``PointEstimate`` field against its definition, written out
+    from the (SC, semi-MRC) counts of trials 0 .. trials - 1: the stop rule
+    holds at the last batch boundary and at no earlier one, unless the
+    budget ends the point."""
+
+    SMALL = dict(modulation="dqpsk", frames_per_trial=2, frame_length=250,
+                 min_bit_errors=100, seed=321)
+    CASES = {
+        "target": (dict(max_symbols=300_000, **SMALL), 10.0, True),
+        # 80 trials, two whole batches and the 16 the budget allows, carry
+        # the errors but too few error-bearing trials
+        "budget": (dict(max_symbols=40_000, **SMALL), 20.0, False),
+    }
+
+    @staticmethod
+    def stop_rule(cfg, counts):
+        sc = [e[0] for e in counts]
+        mrc = [e[1] for e in counts]
+        errors = min(sum(sc), sum(mrc))
+        error_trials = min(sum(e > 0 for e in sc), sum(e > 0 for e in mrc))
+        return errors >= cfg.min_bit_errors and error_trials >= cfg.min_error_trials
+
+    @staticmethod
+    def halfwidth(p, bits, rates):
+        se_binom = math.sqrt(p * (1.0 - p) / bits)
+        se_cluster = float(np.std(rates, ddof=1)) / math.sqrt(len(rates))
+        return 1.96 * max(se_binom, se_cluster)
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_every_field(self, case):
+        settings, power_db, reached = self.CASES[case]
+        cfg = ExperimentConfig(**settings)
+        profile = cfg.profile(power_db)
+        est = simulate_point(cfg, profile, 1)
+        counts = [harness._run_trial(cfg, profile, 1, t) for t in range(est.trials)]
+        trial_symbols = cfg.frames_per_trial * cfg.frame_length
+        trial_bits = trial_symbols * cfg.mod.bits_per_symbol
+        bits = est.trials * trial_bits
+        max_trials = cfg.max_symbols // trial_symbols
+        boundaries = [n for n in range(cfg.batch_trials, max_trials, cfg.batch_trials)
+                      if n < est.trials]
+        assert not any(self.stop_rule(cfg, counts[:n]) for n in boundaries)
+        assert est.reached_target is self.stop_rule(cfg, counts) is reached
+        assert est.reached_target or est.trials == max_trials
+        assert est.trials % cfg.batch_trials == 0 or est.trials == max_trials
+        assert est.trials == len(counts) > 1 and est.bits == bits
+        for column, (ber, ci) in enumerate([(est.ber_sc, est.ci_sc),
+                                            (est.ber_mrc, est.ci_mrc)]):
+            errors = [e[column] for e in counts]
+            p = sum(errors) / bits
+            assert ber == p
+            assert ci == self.halfwidth(p, bits, [e / trial_bits for e in errors])
 
 
 class TestTrialOrderIndependence:

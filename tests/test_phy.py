@@ -37,8 +37,9 @@ class TestModulationParams:
             ModulationParams(order=4, a=0.0)
         with pytest.raises(TypeError):
             ModulationParams(order=4, b=math.sqrt(2.0))
-        with pytest.raises(ValueError):
-            ModulationParams(3)
+        for order in (3, 4.0, 2.0):
+            with pytest.raises(ValueError):
+                ModulationParams(order)
         assert ModulationParams(2) == ModulationParams.dbpsk()
         assert ModulationParams(4) == ModulationParams.dqpsk()
 
@@ -331,6 +332,11 @@ class TestChain:
         with pytest.raises(ValueError):
             chain_error_counts(np.zeros(7, np.int64), ones, ones, ones, ones,
                                ones, ones, profile=prof, mod=mod, frame_len=3)
+        for frame_len in (0, -1):
+            with pytest.raises(ValueError, match="frame_len must be >= 1"):
+                chain_error_counts(np.zeros(6, np.int64), ones, ones, ones, ones,
+                                   ones, ones, profile=prof, mod=mod,
+                                   frame_len=frame_len)
 
     def test_simulation_matches_analytics(self):
         # moderate-size paired run against the exact closed form, judged
@@ -343,7 +349,7 @@ class TestChain:
         rates = []
         total_err = 0
         for t in range(trials):
-            e_sc, _, _ = harness._run_trial(config, prof, 0, t)
+            e_sc, _ = harness._run_trial(config, prof, 0, t)
             total_err += e_sc
             rates.append(e_sc / bits_per_trial)
         ber = total_err / (trials * bits_per_trial)

@@ -20,6 +20,9 @@ from dafsc.specfn import (
 from dafsc.validate import E1_X, K1_X
 from oracles import mpmath_special_values
 
+# NaN, alone and inside an array, fails every domain check
+NAN_ARGUMENTS = (math.nan, np.array([1.0, math.nan]))
+
 _EULER = 0.5772156649015328606
 
 # arguments on both sides of the branch points, checked against 40-digit
@@ -79,6 +82,9 @@ class TestExpIntegral:
             scaled_e1(-1.0)
         with pytest.raises(ValueError):
             scaled_e1(np.array([1.0, -2.0]))
+        for bad in NAN_ARGUMENTS:
+            with pytest.raises(ValueError, match="strictly positive"):
+                scaled_e1(bad)
 
     def test_strictly_decreasing_positive(self):
         # (e^x E1)' = e^x E1 - 1/x < 0, and E1 itself decreases faster
@@ -116,6 +122,9 @@ class TestScaledE1:
     def test_domain_error(self):
         with pytest.raises(ValueError):
             scaled_e1(-0.5)
+        for bad in NAN_ARGUMENTS:
+            with pytest.raises(ValueError, match="strictly positive"):
+                scaled_e1(bad)
 
 
 class TestBesselK1:
@@ -164,6 +173,9 @@ class TestBesselK1:
     def test_domain_error(self):
         with pytest.raises(ValueError):
             bessel_k1_scaled(0.0)
+        for bad in NAN_ARGUMENTS:
+            with pytest.raises(ValueError, match="strictly positive"):
+                bessel_k1_scaled(bad)
 
 
 def _k1_trapezoid_node_loop(x):
@@ -217,6 +229,9 @@ class TestBesselK1Complement:
     def test_domain_error(self):
         with pytest.raises(ValueError):
             bessel_k1_complement(0.0)
+        for bad in NAN_ARGUMENTS:
+            with pytest.raises(ValueError, match="strictly positive"):
+                bessel_k1_complement(bad)
 
 
 class TestArrayEvaluation:
