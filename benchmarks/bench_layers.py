@@ -22,6 +22,10 @@ fresh process and times, in microseconds per call:
 - ``run_outage_curve`` over the 51-power x 801-threshold grid of the
   benchmark's ``analytic`` workload, and ``write_outage_csv`` of the
   tree's own result for that grid into a ``StringIO``;
+- ``run_power_allocation_sweep`` over the grid of the benchmark's
+  ``analytic`` workload (DQPSK, 11 powers, 0 to 50 dB, x 99 q values, 0.01
+  to 0.99), and ``write_ber_csv`` of each of the tree's own 11 tables for
+  that grid into a ``StringIO``, all 11 per call;
 - ``run_outage_curve`` with its Monte Carlo column, 1,000 draws, over 11
   powers (0 to 50 dB) x 81 thresholds (-10 to 30 dB);
 - the K1 trapezoid (``specfn._k1_scaled_trapezoid``) over 782, 2,000 and
@@ -61,6 +65,8 @@ CALLS = 200
 OUTAGE_THRESHOLDS = 10_000
 OUTAGE_POWERS_DB = [float(p) for p in range(51)]
 OUTAGE_GAMMA_DB = [-10.0 + 0.05 * i for i in range(801)]
+SWEEP_POWERS_DB = [5.0 * i for i in range(11)]
+SWEEP_Q = [round(0.01 * i, 2) for i in range(1, 100)]
 MC_POWERS_DB = [5.0 * i for i in range(11)]
 MC_GAMMA_DB = [-10.0 + 0.5 * i for i in range(81)]
 MC_DRAWS = 1_000
@@ -103,6 +109,9 @@ def layers(src, peaks_kb, point_trials):
     finally:
         specfn._k1_scaled_trapezoid = trapezoid
     k1_args = {n: np.geomspace(2.01, 700.0, n) for n in K1_SIZES}
+    sweep_config = harness.ExperimentConfig(
+        modulation="dqpsk", sweep_power_db=tuple(SWEEP_POWERS_DB), q_grid=tuple(SWEEP_Q))
+    tables, _ = harness.run_power_allocation_sweep(sweep_config)
 
     def seeding():
         return np.random.default_rng(harness.trial_seed_sequence(config.seed, 0, next(trial)))
@@ -125,6 +134,9 @@ def layers(src, peaks_kb, point_trials):
         ("outage_vector", lambda: analysis.outage_probability(thresholds, profile), 20),
         ("outage_curve", lambda: harness.run_outage_curve(outage_config, OUTAGE_GAMMA_DB), 2),
         ("outage_csv", lambda: harness.write_outage_csv(io.StringIO(), grid), 2),
+        ("power_sweep", lambda: harness.run_power_allocation_sweep(sweep_config), 1),
+        ("sweep_csv", lambda: [harness.write_ber_csv(io.StringIO(), rows)
+                               for rows in tables.values()], 20),
         ("outage_mc", lambda: harness.run_outage_curve(
             mc_config, MC_GAMMA_DB, mc_draws=MC_DRAWS), 2),
         *((f"k1_trapezoid_{n}", lambda x=x: specfn._k1_scaled_trapezoid(x), 20)
@@ -241,7 +253,10 @@ def main(argv=None):
         f"at the same point; outage_probability over {OUTAGE_THRESHOLDS} "
         f"thresholds; run_outage_curve over {len(OUTAGE_POWERS_DB)} powers x "
         f"{len(OUTAGE_GAMMA_DB)} thresholds and write_outage_csv of its result "
-        f"into a StringIO; run_outage_curve with {MC_DRAWS} Monte Carlo draws "
+        f"into a StringIO; DQPSK run_power_allocation_sweep over "
+        f"{len(SWEEP_POWERS_DB)} powers x {len(SWEEP_Q)} q values and "
+        f"write_ber_csv of its {len(SWEEP_POWERS_DB)} tables into StringIOs; "
+        f"run_outage_curve with {MC_DRAWS} Monte Carlo draws "
         f"over {len(MC_POWERS_DB)} powers x {len(MC_GAMMA_DB)} thresholds; "
         f"the K1 trapezoid over {', '.join(map(str, K1_SIZES))} "
         f"arguments in [2.01, 700] and over the arguments of every trapezoid "

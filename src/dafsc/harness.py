@@ -102,16 +102,25 @@ class ExperimentConfig:
 
 
 @dataclass(frozen=True)
+class PointEstimate:
+    """One point's paired SC / semi-MRC Monte Carlo result (see simulate_point)."""
+
+    ber_sc: float
+    ber_mrc: float
+    ci_sc: float
+    ci_mrc: float
+    bits: int
+    trials: int
+    reached_target: bool
+
+
+@dataclass(frozen=True)
 class BerPoint:
-    """One row of a BER curve; simulated fields are None when not run."""
+    """One row of a BER curve; ``estimate`` is None when not simulated."""
 
     x: float
     analytical_ber: float
-    simulated_ber_sc: float | None = None
-    simulated_ber_mrc: float | None = None
-    ci_halfwidth_sc: float | None = None
-    ci_halfwidth_mrc: float | None = None
-    bits_simulated: int = 0
+    estimate: PointEstimate | None = None
 
 
 def trial_seed_sequence(master_seed: int, point_index: int, trial_index: int):
@@ -136,17 +145,6 @@ def _run_trial(config: ExperimentConfig, profile: PowerProfile,
         v_idx, *taps, *noise, profile=profile, mod=mod,
         frame_len=config.frame_length,
     )
-
-
-@dataclass(frozen=True)
-class PointEstimate:
-    ber_sc: float
-    ber_mrc: float
-    ci_sc: float
-    ci_mrc: float
-    bits: int
-    trials: int
-    reached_target: bool
 
 
 def _estimate(errors, trial_bits):
@@ -229,15 +227,7 @@ def run_ber_curve(config: ExperimentConfig):
                 f"before {config.min_bit_errors} errors over "
                 f"{config.min_error_trials} error-bearing trials (low confidence)"
             )
-        points.append(BerPoint(
-            x=p_db,
-            analytical_ber=ana,
-            simulated_ber_sc=est.ber_sc,
-            simulated_ber_mrc=est.ber_mrc,
-            ci_halfwidth_sc=est.ci_sc,
-            ci_halfwidth_mrc=est.ci_mrc,
-            bits_simulated=est.bits,
-        ))
+        points.append(BerPoint(x=p_db, analytical_ber=ana, estimate=est))
     return points, warnings
 
 
@@ -318,23 +308,14 @@ BER_CSV_HEADER = ["x", "analytical", "sim_sc", "ci_sc", "sim_mrc", "ci_mrc", "bi
 OUTAGE_CSV_HEADER = ["power_db", "gamma_th_db", "analytical", "mc", "ci_mc", "draws"]
 
 
-def _fmt_prob(v) -> str:
-    return "" if v is None else f"{v:.5e}"
-
-
 def write_ber_csv(fh, points) -> None:
     """Write ``BerPoint`` rows as CSV to the open text file ``fh``."""
     fh.write(",".join(BER_CSV_HEADER) + "\n")
     for p in points:
-        fh.write(",".join([
-            f"{p.x:.2f}",
-            _fmt_prob(p.analytical_ber),
-            _fmt_prob(p.simulated_ber_sc),
-            _fmt_prob(p.ci_halfwidth_sc),
-            _fmt_prob(p.simulated_ber_mrc),
-            _fmt_prob(p.ci_halfwidth_mrc),
-            str(p.bits_simulated),
-        ]) + "\n")
+        e = p.estimate
+        sim = ",,,,0" if e is None else (
+            f"{e.ber_sc:.5e},{e.ci_sc:.5e},{e.ber_mrc:.5e},{e.ci_mrc:.5e},{e.bits}")
+        fh.write(f"{p.x:.2f},{p.analytical_ber:.5e},{sim}\n")
 
 
 def write_outage_csv(fh, grid) -> None:

@@ -143,7 +143,10 @@ def _k1_scaled_trapezoid(x):
     # exp(x)*K1(x) = int_0^inf exp(-2x sinh^2(t/2)) cosh t dt, trapezoid on
     # [0, acosh(1 + 45/x)]: exponentially convergent for the even analytic
     # integrand.  All nodes by a block of arguments at once; the node terms
-    # are added in node order, which keeps the sum bitwise a node loop's
+    # are added in node order, which keeps the sum bitwise a node loop's.
+    # 1 + 45/x rounds to 1 from x ~ 4.05e17 on, where the rule sums to 0.0;
+    # the clamp keeps that at x = inf and where -2x overflows (inf * 0 = NaN)
+    x = np.minimum(x, 1e300)
     half_step = 0.5 * np.arccosh(1.0 + 45.0 / x) / _K1_NODES
     acc = np.full_like(x, 0.5)  # integrand value 1 at t = 0, half weight
     for start in range(0, x.size, _K1_BLOCK):

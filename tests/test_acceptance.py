@@ -81,8 +81,8 @@ class TestCriterion2AnalysisVsSimulation:
         worst_z = 0.0
         worst_at = None
         for p in points:
-            se = p.ci_halfwidth_sc / 1.96
-            z = abs(p.simulated_ber_sc - p.analytical_ber) / se
+            se = p.estimate.ci_sc / 1.96
+            z = abs(p.estimate.ber_sc - p.analytical_ber) / se
             if z > worst_z:
                 worst_z, worst_at = z, p.x
         passed = worst_z <= 3.0
@@ -161,11 +161,11 @@ class TestCriterion5CombinerGap:
             y = np.log10(np.array(values))
             return float(np.interp(math.log10(target), y[::-1], x[::-1]))
 
-        p_sc = power_at(1e-3, [p.simulated_ber_sc for p in points])
-        p_mrc = power_at(1e-3, [p.simulated_ber_mrc for p in points])
+        p_sc = power_at(1e-3, [p.estimate.ber_sc for p in points])
+        p_mrc = power_at(1e-3, [p.estimate.ber_mrc for p in points])
         gap = p_sc - p_mrc
         sc_never_better = all(
-            (p.simulated_ber_mrc - p.simulated_ber_sc) <= p.ci_halfwidth_sc
+            (p.estimate.ber_mrc - p.estimate.ber_sc) <= p.estimate.ci_sc
             for p in points)
         passed = gap <= 1.0 and sc_never_better
         _report("5 SC vs semi-MRC gap", passed,

@@ -192,10 +192,10 @@ class TestBerCurve:
     def test_simulated_fields_populated(self, fast_points):
         points, _ = fast_points
         for p in points:
-            assert 0.0 <= p.simulated_ber_sc <= 1.0
-            assert 0.0 <= p.simulated_ber_mrc <= 1.0
-            assert p.ci_halfwidth_sc > 0.0
-            assert p.bits_simulated > 0
+            assert 0.0 <= p.estimate.ber_sc <= 1.0
+            assert 0.0 <= p.estimate.ber_mrc <= 1.0
+            assert p.estimate.ci_sc > 0.0
+            assert p.estimate.bits > 0
 
     def test_worker_count_invariance(self, fast_points):
         base, _ = fast_points
@@ -241,7 +241,7 @@ class TestBerCurve:
         argv = ["ber-curve", "--power-db", "30", "--max-symbols", "1500", "--seed", "1"]
         assert cli.main(argv) == 0
         captured = capsys.readouterr()
-        assert [p.bits_simulated for p in parse_ber_csv(captured.out)] == [1000]
+        assert [p.estimate.bits for p in parse_ber_csv(captured.out)] == [1000]
         assert "1500 symbol budget hit" in captured.err
         cfg = ExperimentConfig(power_db=(30.0,), max_symbols=1999, seed=1)
         assert simulate_point(cfg, cfg.profile(30.0), 0).trials == 1
@@ -536,14 +536,18 @@ class TestOutageCurve:
 
 
 def parse_ber_csv(text):
-    """The rows of a BER CSV as ``BerPoint``s, blank cells as None."""
+    """The rows of a BER CSV as ``BerPoint``s, blank simulated cells as no
+    estimate."""
     header, *rows = csv.reader(io.StringIO(text))
     assert header == harness.BER_CSV_HEADER
-    opt = lambda s: None if s == "" else float(s)
-    return [BerPoint(x=float(x), analytical_ber=float(ana), simulated_ber_sc=opt(sc),
-                     ci_halfwidth_sc=opt(ci_sc), simulated_ber_mrc=opt(mrc),
-                     ci_halfwidth_mrc=opt(ci_mrc), bits_simulated=int(bits))
-            for x, ana, sc, ci_sc, mrc, ci_mrc, bits in rows]
+    points = []
+    for x, ana, sc, ci_sc, mrc, ci_mrc, bits in rows:
+        # the CSV does not carry trials or reached_target: placeholders
+        estimate = None if sc == "" else harness.PointEstimate(
+            ber_sc=float(sc), ber_mrc=float(mrc), ci_sc=float(ci_sc),
+            ci_mrc=float(ci_mrc), bits=int(bits), trials=0, reached_target=False)
+        points.append(BerPoint(x=float(x), analytical_ber=float(ana), estimate=estimate))
+    return points
 
 
 class TestCsv:
@@ -559,8 +563,9 @@ class TestCsv:
     def test_round_trip_with_blanks(self):
         points = [BerPoint(x=10.0, analytical_ber=1.25e-3)]
         text = ber_csv_text(points)
+        assert text.splitlines()[1] == "10.00,1.25000e-03,,,,,0"
         parsed = parse_ber_csv(text)
-        assert parsed[0].simulated_ber_sc is None
+        assert parsed[0].estimate is None
         assert ber_csv_text(parsed) == text
 
     def test_header_fixed(self):
@@ -568,9 +573,9 @@ class TestCsv:
         assert text == "x,analytical,sim_sc,ci_sc,sim_mrc,ci_mrc,bits\n"
 
     def test_file_io(self, tmp_path):
-        points = [BerPoint(x=5.0, analytical_ber=0.1, simulated_ber_sc=0.09,
-                           simulated_ber_mrc=0.08, ci_halfwidth_sc=0.01,
-                           ci_halfwidth_mrc=0.01, bits_simulated=1000)]
+        points = [BerPoint(x=5.0, analytical_ber=0.1, estimate=harness.PointEstimate(
+            ber_sc=0.09, ber_mrc=0.08, ci_sc=0.01, ci_mrc=0.01, bits=1000,
+            trials=1, reached_target=True))]
         path = tmp_path / "curve.csv"
         with open(path, "w", newline="") as fh:
             write_ber_csv(fh, points)
@@ -761,7 +766,7 @@ class TestCli:
                          "--analytical-only", "--out", str(out)])
         assert code == 0
         points = parse_ber_csv(out.read_text())
-        assert len(points) == 2 and points[0].simulated_ber_sc is None
+        assert len(points) == 2 and points[0].estimate is None
 
     def test_flags_override_config_file(self, tmp_path):
         cfgfile = tmp_path / "exp.cfg"
@@ -995,7 +1000,7 @@ class TestCli:
                        "--out", "ber.csv"])
         assert codes == [0]
         (point,) = parse_ber_csv((tmp_path / "ber.csv").read_text())
-        assert point.bits_simulated == 1000 and point.simulated_ber_sc is not None
+        assert point.estimate is not None and point.estimate.bits == 1000
 
     @pytest.mark.parametrize("argv, engine", [
         (["ber-curve", "--mod", "dqpsk", "--power-db", "20,25"], "dafsc.harness.run_ber_curve"),

@@ -272,6 +272,14 @@ class TestArrayEvaluation:
         for func in self.FUNCS:
             assert func(np.array([])).shape == (0,)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("func, limit", zip(FUNCS, (0.0, 0.0, 1.0)),
+                             ids=[f.__name__ for f in FUNCS])
+    def test_limit_at_infinity(self, func, limit):
+        # +inf alone and inside an array, with no warning
+        assert func(math.inf) == limit
+        assert func(np.array([3.0, math.inf]))[1] == limit
+
 
 class TestIntegrateTheta:
     def test_constant(self):
