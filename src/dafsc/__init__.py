@@ -7,8 +7,8 @@ The package splits into: the special functions the closed forms need
 correlated Rayleigh fading and noise generation (``fading``), the
 transmit/relay/receive chain (``phy``), closed-form BER / outage analysis
 (``analysis``), experiment orchestration and CSV emission (``harness``), the
-validation suite with its independent quadrature oracles (``validate``), and
-the CLI (``cli``).
+validation suite with its independent quadrature oracles (``validate``,
+loaded only by ``dafsc validate``), and the CLI (``cli``).
 """
 
 from .analysis import (
@@ -27,7 +27,6 @@ from .harness import (
 )
 from .phy import ModulationParams, PowerProfile
 from .specfn import QuadratureConvergenceError, scaled_e1
-from .validate import run_validation_suite
 
 __version__ = "0.1.0"
 
@@ -50,7 +49,6 @@ __all__ = [
     "run_ber_curve",
     "run_outage_curve",
     "run_power_allocation_sweep",
-    "run_validation_suite",
     "ModulationParams",
     "PowerProfile",
     "QuadratureConvergenceError",

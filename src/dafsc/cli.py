@@ -12,14 +12,13 @@ analytical integral that did not converge.
 """
 
 import argparse
-import json
 import math
 import os
 import sys
 from contextlib import ExitStack
 from dataclasses import fields
 
-from . import harness, validate
+from . import harness
 from .harness import ExperimentConfig
 from .specfn import QuadratureConvergenceError
 
@@ -177,6 +176,10 @@ def main(argv=None) -> int:
                 return outputs.enter_context(open(path, "w", newline="")) if path else sys.stdout
 
             if args.command == "validate":
+                import json  # the suite and its report format load only here
+
+                from . import validate
+
                 out = output(args.out)
                 report = validate.run_validation_suite(
                     seed=args.seed if args.seed is not None else harness.DEFAULT_SEED)

@@ -42,11 +42,12 @@ _K1_I1_COEFFS = 1.0 / (_FACT[_K] * _FACT[_K + 1])
 _K1_PSI = -2.0 * _EULER_GAMMA + 1.0 + np.concatenate(
     ([0.0], np.cumsum(1.0 / _K[1:] + 1.0 / (_K[1:] + 1.0))))
 _K1_LOG_COEFFS = _K1_PSI * _K1_I1_COEFFS
-# Reach of each term: E1 terms below 1e-19 (1e-17 of E1 >= 0.0489 on
-# (0, 2]), K1 terms below 1e-20.
+# Reach of each E1 term: below 1e-19 (1e-17 of E1 >= 0.0489 on (0, 2]).
 _E1_REACH = (1e-19 / np.abs(_E1_COEFFS)) ** (1.0 / (_K + 1))
-_K1_REACH = (1e-20 / np.maximum(np.abs(_K1_LOG_COEFFS), _K1_I1_COEFFS)) ** (
-    1.0 / np.maximum(_K, 1))
+# Terms of both K1 series: those before the first below 1e-20 at the split
+# (q = 1), 13.  One length for every call keeps each value a function of its
+# argument alone; a length per call saved nothing on the outage grid.
+_K1_TERMS = int(np.argmax(np.maximum(np.abs(_K1_LOG_COEFFS), _K1_I1_COEFFS) < 1e-20))
 # Series / trapezoid split of K1.  Below it 1 - x K1(x) comes from the
 # series without its leading 1, which loses under 1 bit (see
 # _k1_complement_series), and exp(x)K1(x) = exp(x)(1 - c)/x from it, where
@@ -93,12 +94,6 @@ class QuadratureConvergenceError(RuntimeError):
         self.error_estimate = error_estimate
 
 
-def _series_length(reach, arg_max):
-    """Number of leading series coefficients to use: term k is below the
-    series' tolerance for every argument below ``reach[k]`` (increasing)."""
-    return max(1, int(np.searchsorted(reach, arg_max, side="right")))
-
-
 def _horner(coeffs, x):
     acc = np.full_like(x, coeffs[-1])
     for c in coeffs[-2::-1]:
@@ -108,8 +103,9 @@ def _horner(coeffs, x):
 
 
 def _e1_series(x):
-    # -gamma - ln x - sum_k (-x)^k/(k k!) for x <= 2
-    n = _series_length(_E1_REACH, x.max())
+    # -gamma - ln x - sum_k (-x)^k/(k k!) for x <= 2, to the first term
+    # below its tolerance at the call's largest argument
+    n = max(1, int(np.searchsorted(_E1_REACH, x.max(), side="right")))
     return -_EULER_GAMMA - np.log(x) - x * _horner(_E1_COEFFS[:n], x)
 
 
@@ -132,10 +128,9 @@ def _k1_complement_series(x):
     # < 0 below x ~ 0.93 (its first coefficient is 1 - 2 gamma) but stays
     # under 4 % of -ln(x/2) I1(x) there, so the sum loses less than one bit
     q = 0.25 * x * x
-    n = _series_length(_K1_REACH, q.max())
     half_x = 0.5 * x
-    i1 = half_x * _horner(_K1_I1_COEFFS[:n], q)
-    tail = 0.5 * half_x * _horner(_K1_LOG_COEFFS[:n], q)
+    i1 = half_x * _horner(_K1_I1_COEFFS[:_K1_TERMS], q)
+    tail = 0.5 * half_x * _horner(_K1_LOG_COEFFS[:_K1_TERMS], q)
     return x * (tail - np.log(half_x) * i1)
 
 
@@ -144,15 +139,17 @@ def _k1_scaled_trapezoid(x):
     # [0, acosh(1 + 45/x)]: exponentially convergent for the even analytic
     # integrand.  All nodes by a block of arguments at once; the node terms
     # are added in node order, which keeps the sum bitwise a node loop's.
-    # 1 + 45/x rounds to 1 from x ~ 4.05e17 on, where the rule sums to 0.0;
-    # the clamp keeps that at x = inf and where -2x overflows (inf * 0 = NaN)
-    x = np.minimum(x, 1e300)
-    half_step = 0.5 * np.arccosh(1.0 + 45.0 / x) / _K1_NODES
+    # The interval as 2 asinh(sqrt(22.5/x)) keeps its width where 1 + 45/x
+    # rounds to 1 (x >~ 4.05e17), x times -2 sinh^2 does not overflow as -2x
+    # does (x >~ 9e307), and at x = inf, step 0, the clamp keeps the terms
+    # finite (inf * 0 = NaN): the rule gives 0.0, the limit.
+    half_step = np.arcsinh(np.sqrt(22.5 / x)) / _K1_NODES
+    x = np.minimum(x, np.finfo(np.float64).max)
     acc = np.full_like(x, 0.5)  # integrand value 1 at t = 0, half weight
     for start in range(0, x.size, _K1_BLOCK):
         cols = slice(start, start + _K1_BLOCK)
-        sh2 = np.sinh(np.multiply.outer(_K1_NODE_INDEX, half_step[cols])) ** 2
-        for term in np.exp(-2.0 * x[cols] * sh2) * (1.0 + 2.0 * sh2):
+        m2sh2 = -2.0 * np.sinh(np.multiply.outer(_K1_NODE_INDEX, half_step[cols])) ** 2
+        for term in np.exp(x[cols] * m2sh2) * (1.0 - m2sh2):
             acc[cols] += term
     return (2.0 * half_step) * acc
 

@@ -6,9 +6,9 @@ the closed forms under test: they integrate the rational conditional-average
 terms numerically (QUADPACK) over the exponential relay-destination gain,
 without the exponential-integral / Bessel algebra.  The special-function
 kernels are checked against scipy's own E1 and K1, and 1 - x K1(x) against
-QUADPACK's integral of s K0(s) over [0, x] (DLMF 10.29).  scipy is imported
-only inside the oracles and the suite, so importing the package never pays
-for it.
+QUADPACK's integral of s K0(s) over [0, x] (DLMF 10.29).  Importing the
+package loads neither this module, which only ``dafsc validate`` imports,
+nor scipy, which only the oracles and the suite import.
 """
 
 import math

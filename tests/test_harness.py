@@ -957,7 +957,7 @@ class TestCli:
         # scipy.integrate alone takes longer to import than the whole package
         src = Path(__file__).resolve().parents[1] / "src"
         probe = ("import sys, dafsc, dafsc.cli; print(sorted(m for m in "
-                 "('scipy',) if m in sys.modules))")
+                 "('scipy', 'dafsc.validate', 'json') if m in sys.modules))")
         result = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                                 text=True, check=True,
                                 env={**os.environ, "PYTHONPATH": str(src)})
@@ -966,23 +966,27 @@ class TestCli:
     @staticmethod
     def _fresh_cli_runs(tmp_path, *argvs):
         """Exit codes of ``cli.main`` over ``argvs`` in a fresh interpreter,
-        and the numpy.random modules that importing dafsc and those runs
-        loaded beyond a bare ``import numpy``."""
+        the numpy.random modules that importing dafsc and those runs loaded
+        beyond a bare ``import numpy``, and whether they loaded the
+        validation suite or scipy."""
         src = Path(__file__).resolve().parents[1] / "src"
         probe = ("import json, sys, numpy\n"
                  "bare = set(sys.modules)\n"
                  "import dafsc, dafsc.cli\n"
                  "codes = [dafsc.cli.main(argv) for argv in json.loads(sys.argv[1])]\n"
                  "print(json.dumps([codes, sorted(m for m in set(sys.modules) - bare\n"
-                 "                  if m.split('.')[:2] == ['numpy', 'random'])]))")
+                 "                  if m.split('.')[:2] == ['numpy', 'random']),\n"
+                 "                  sorted(m for m in ('dafsc.validate', 'scipy')\n"
+                 "                         if m in sys.modules)]))")
         result = subprocess.run(
             [sys.executable, "-c", probe, json.dumps(argvs)], capture_output=True,
             text=True, check=True, cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(src)})
         return json.loads(result.stdout)
 
     def test_analytic_subcommands_leave_numpy_random_unloaded(self, tmp_path):
-        # the closed forms draw nothing, so they need not pay for numpy.random
-        codes, loaded = self._fresh_cli_runs(
+        # the closed forms draw nothing, so they need not pay for numpy.random,
+        # and only validate needs the validation suite
+        codes, loaded, suite = self._fresh_cli_runs(
             tmp_path,
             ["power-sweep", "--mod", "dqpsk", "--power-db", "10,20",
              "--q-grid", "0.3,0.7", "--out", "sweep.csv"],
@@ -991,11 +995,12 @@ class TestCli:
             ["ber-curve", "--power-db", "10,20", "--analytical-only", "--out", "ber.csv"])
         assert codes == [0, 0, 0]
         assert loaded == []
+        assert suite == []
         assert len((tmp_path / "sweep_P20.00dB.csv").read_text().splitlines()) == 3
 
     def test_simulation_in_a_fresh_interpreter(self, tmp_path):
         # numpy.random loads on the first trial
-        codes, _ = self._fresh_cli_runs(
+        codes, _, _ = self._fresh_cli_runs(
             tmp_path, ["ber-curve", "--power-db", "10", "--max-symbols", "1000",
                        "--out", "ber.csv"])
         assert codes == [0]

@@ -146,7 +146,10 @@ class TestBesselK1:
     def test_scaled_variant(self):
         from scipy.special import k1e
 
-        x = np.array([0.1, 1.0, 5.0, 20.0, 700.0])
+        # and far beyond, where 1 + 45/x rounds to 1 (x >~ 4.05e17) and -2x
+        # would overflow (x >~ 9e307)
+        x = np.array([0.1, 1.0, 5.0, 20.0, 700.0, 4e17, 4.1e17, 1e20, 1e100, 1e300,
+                      1.7e308])
         want = k1e(x)
         got = bessel_k1_scaled(x)
         assert np.max(np.abs(got - want) / want) <= 1e-9
@@ -181,13 +184,12 @@ class TestBesselK1:
 def _k1_trapezoid_node_loop(x):
     # the node-by-node loop that _k1_scaled_trapezoid replaced: the same
     # terms, one array of arguments per node, added in node order
-    half_step = 0.5 * np.arccosh(1.0 + 45.0 / x) / specfn._K1_NODES
-    minus_two_x = -2.0 * x
+    half_step = np.arcsinh(np.sqrt(22.5 / x)) / specfn._K1_NODES
     acc = np.full_like(x, 0.5)
     for j in range(1, specfn._K1_NODES + 1):
         sh2 = np.sinh(j * half_step)
         sh2 *= sh2
-        acc += np.exp(minus_two_x * sh2) * (1.0 + 2.0 * sh2)
+        acc += np.exp(x * (-2.0 * sh2)) * (1.0 + 2.0 * sh2)
     return (2.0 * half_step) * acc
 
 
@@ -267,6 +269,19 @@ class TestArrayEvaluation:
                                mpmath_special_values(tuple(K1_X))[2]))
         got = np.exp(-mixed[:, 0]) * bessel_k1_scaled(mixed)[:, 0]
         assert np.max(np.abs(got - want) / want) <= 1e-10
+
+    @pytest.mark.parametrize("func", [bessel_k1_scaled, bessel_k1_complement],
+                             ids=lambda f: f.__name__)
+    def test_k1_value_independent_of_its_batch(self, func):
+        # each value depends on its argument alone, whatever else its call
+        # holds.  scaled_e1 is left out: its series length and fraction depth
+        # follow the call's extreme arguments, which moves a few values by
+        # some ulp
+        rng = np.random.default_rng(31)
+        for _ in range(40):
+            x = 10.0 ** rng.uniform(-12.0, 3.0, rng.integers(1, 401))
+            alone = np.array([func(v) for v in x])
+            assert np.array_equal(func(x), alone)
 
     def test_empty_input(self):
         for func in self.FUNCS:
