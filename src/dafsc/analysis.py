@@ -8,17 +8,17 @@ the larger |zeta| and errs more often.  The average BER comes from the
 conditional differential-detection error integral, averaged in closed form
 over the exponential direct-branch SNR and the (conditionally exponential)
 relayed-branch SNR, leaving a single integral over the angle variable.
-That integrand is periodic and analytic in the angle, so the periodic
-trapezoid rule (:func:`~dafsc.specfn.integrate_periodic_sets`) converges
-geometrically to its fixed tolerance (relative 1e-10); a DQPSK point takes
-64 or 128 nodes.  The angular weights depend only on the modulation and the
-nodes, so they are tabulated once per node set.
+That integrand is periodic and analytic in the angle, so the fixed
+128-node trapezoid rule (:func:`~dafsc.specfn.integrate_periodic`)
+converges geometrically; it meets its tolerance (relative 1e-10) on every
+input tried and raises where it would not.  The angular weights depend only
+on the modulation and the nodes, so they are tabulated once per modulation.
 
 The relayed-branch average introduces exponential-integral terms; they are
-evaluated through the exponentially scaled E1, one array call per set of
-nodes, so nothing blows up when the relay gain is large or the power is
-high.  The outage closed form is evaluated over a whole threshold array in
-one K1 call.
+evaluated through the exponentially scaled E1, one array call per point,
+so nothing blows up when the relay gain is large or the power is high.
+The outage closed form is evaluated over a whole threshold array in one K1
+call.
 """
 
 import functools
@@ -27,13 +27,7 @@ import math
 import numpy as np
 
 from .phy import ModulationParams, PowerProfile
-from .specfn import (
-    PERIODIC_NODE_SETS,
-    bessel_k1_complement,
-    integrate_periodic_sets,
-    periodic_nodes,
-    scaled_e1,
-)
+from .specfn import PERIODIC_NODES, bessel_k1_complement, integrate_periodic, scaled_e1
 
 
 def angle_weights(theta, mod: ModulationParams):
@@ -81,15 +75,15 @@ def conditional_gamma_max_cdf(gamma, p0: float, c: float):
 _S_T_OFFSETS = np.array([[1.0], [2.0]])
 
 
-@functools.lru_cache(maxsize=2 * PERIODIC_NODE_SETS)
-def _angle_table(mod: ModulationParams, k: int):
-    """:func:`angle_weights` on node set ``k`` of the periodic rule.
+@functools.lru_cache(maxsize=2)
+def _angle_table(mod: ModulationParams):
+    """:func:`angle_weights` on the nodes of the periodic rule.
 
-    Built once per (modulation, node set) and read-only, since every
-    point of a curve integrates over the same nodes; the bound holds one
-    entry per node set for each of the two modulations.
+    Built once per modulation and read-only, since every point of a curve
+    integrates over the same nodes; the bound holds one entry for each of
+    the two modulations.
     """
-    table = angle_weights(periodic_nodes(k), mod)
+    table = angle_weights(PERIODIC_NODES, mod)
     for column in table:
         column.flags.writeable = False
     return table
@@ -120,22 +114,21 @@ def analytical_ber(mod: ModulationParams, profile: PowerProfile) -> float:
     often (DBPSK, 5-10 dB, q = 0.7).  Raises ValueError for a relay gain A
     at which A^2 (c + 2) or c / A^2 overflows, c = p0 snr_scale at its most.
 
-    The angle integral is evaluated by the periodic trapezoid rule at its
-    fixed tolerances; deterministic.  The value lies in (0, 1/2] and tends
-    to 1/2 as the powers vanish.  At high power the relayed-branch terms,
-    through scaled_e1(x) = -ln x - gamma + O(x), reduce to
-    (1/A^2) ln(A^2 s)/s^2 + O(1/s^2) with s = 1 + scale p0, so
+    The angle integral is evaluated by the fixed 128-node trapezoid rule,
+    checked at its fixed tolerances; deterministic.  The value lies in
+    (0, 1/2] and tends to 1/2 as the powers vanish.  At high power the
+    relayed-branch terms, through scaled_e1(x) = -ln x - gamma + O(x),
+    reduce to (1/A^2) ln(A^2 s)/s^2 + O(1/s^2) with s = 1 + scale p0, so
     BER p0^2 / ln(A^2 p0) tends to a constant: diversity order two times
     the logarithmic factor of the fixed-gain relay branch.
     """
+    weight, snr_scale = _angle_table(mod)
     a2 = profile.amplification**2
-    c = profile.p0 * float(_angle_table(mod, 0)[1].max())  # at theta = pi/2
+    c = profile.p0 * float(snr_scale.max())  # at theta = pi/2
     if not (math.isfinite(a2 * (c + 2.0)) and math.isfinite(c / a2)):
         raise ValueError(f"amplification {profile.amplification!r} is out of the "
                          f"closed form's range at p0 = {profile.p0!r}")
-    value = integrate_periodic_sets(
-        lambda k: _ber_integrand(*_angle_table(mod, k), profile))
-    return value / (4.0 * math.pi)
+    return integrate_periodic(_ber_integrand(weight, snr_scale, profile)) / (4.0 * math.pi)
 
 
 def ber_high_snr_approx(mod: ModulationParams, profile: PowerProfile) -> float:
@@ -148,13 +141,10 @@ def ber_high_snr_approx(mod: ModulationParams, profile: PowerProfile) -> float:
     (:func:`analytical_ber`), so it lies below the exact value by a ratio
     that grows like ln(A^2 p0) / A^2.
     """
+    weight, snr_scale = _angle_table(mod)
     p0 = profile.p0
-
-    def integrand(k):
-        weight, snr_scale = _angle_table(mod, k)
-        return weight * 2.0 / ((1.0 + snr_scale * p0) * (2.0 + snr_scale * p0))
-
-    return integrate_periodic_sets(integrand) / (4.0 * math.pi)
+    integrand = weight * 2.0 / ((1.0 + snr_scale * p0) * (2.0 + snr_scale * p0))
+    return integrate_periodic(integrand) / (4.0 * math.pi)
 
 
 def outage_probability(gamma_th, profile: PowerProfile):

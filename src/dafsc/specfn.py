@@ -1,15 +1,16 @@
 """Special functions and deterministic quadrature for the analytical engine.
 
 Provides the exponentially scaled exponential integral exp(x) E1(x) and
-modified Bessel function exp(x) K1(x), the complement 1 - x K1(x), a
-periodic trapezoid integrator over [-pi, pi) for the analytic periodic
+modified Bessel function exp(x) K1(x), the complement 1 - x K1(x), a fixed
+128-node periodic trapezoid rule over [-pi, pi) for the analytic periodic
 integrands of the BER engine, and a deterministic adaptive Gauss-Legendre
 integrator for general integrands on [-pi, pi].
 The scaled forms are the ones the engine needs: the BER integrand pairs E1
 with its inverse exponential, and the outage closed form reads K1 only
 through 1 - x K1(x).
-Both integrators work to one fixed tolerance, relative 1e-10 or absolute
-1e-14, within a fixed budget.
+Both integrators check their estimate against one fixed tolerance, relative
+1e-10 or absolute 1e-14: the periodic rule against its own 64-node half, the
+adaptive one over at most 500 bisections.
 
 The special functions are array code on numpy: each call evaluates its
 whole argument array (masked series and continued-fraction or quadrature
@@ -25,11 +26,11 @@ import numpy as np
 _EULER_GAMMA = 0.5772156649015328606
 
 # Series / continued-fraction split of E1.  Above x = 2 a backward
-# continued fraction of depth min(60, 4 + 150/x) is exact to the last ulp
-# (at depth 60 the error is below 1e-16 from x = 1.5 on); below it the
-# alternating series loses at most ~30 ulp to cancellation.
+# continued fraction of depth 60 is exact to the last ulp (its error is
+# below 1e-16 from x = 1.5 on); below it the alternating series loses at
+# most ~30 ulp to cancellation.
 _E1_SPLIT = 2.0
-_E1_CF_MAX_DEPTH = 60
+_E1_CF_DEPTH = 60
 
 # Power-series coefficients, index k standing for x^(k+1) (E1) or q^k (K1).
 _K = np.arange(40)
@@ -111,10 +112,9 @@ def _e1_series(x):
 
 def _e1_cf_scaled(x):
     # exp(x)*E1(x) = 1/(x+1- 1/(x+3- 4/(x+5- 9/(x+7- ...)))) for x > 2,
-    # evaluated backward from a depth set by the smallest argument
-    depth = min(_E1_CF_MAX_DEPTH, 4 + math.ceil(150.0 / float(x.min())))
+    # evaluated backward from one depth for every argument
     tail = np.zeros_like(x)
-    for i in range(depth, 0, -1):
+    for i in range(_E1_CF_DEPTH, 0, -1):
         denom = x + (2.0 * i + 1.0)
         denom -= tail
         np.divide(float(i * i), denom, out=tail)
@@ -220,78 +220,37 @@ def bessel_k1_complement(x):
                      _k1_complement_series, _k1_complement_large)
 
 
-# First and largest node counts of the periodic trapezoid rule, and the
-# number of node sets it evaluates: the first two rules' 64 nodes, then one
-# set per further doubling.
-_PERIODIC_START_NODES = 32
-_PERIODIC_MAX_NODES = 1 << 16
-PERIODIC_NODE_SETS = (_PERIODIC_MAX_NODES // (2 * _PERIODIC_START_NODES)).bit_length()
+# Nodes of the periodic trapezoid rule: the 64-node rule -pi + 2 pi j / 64,
+# then its 64 midpoints, which together make the 128-node rule.
+_PERIODIC_HALF = 64
+PERIODIC_NODES = -math.pi + (2.0 * math.pi / _PERIODIC_HALF) * np.concatenate(
+    (np.arange(_PERIODIC_HALF, dtype=np.float64),
+     np.arange(_PERIODIC_HALF, dtype=np.float64) + 0.5))
+PERIODIC_NODES.flags.writeable = False
 
 
-@functools.lru_cache(maxsize=PERIODIC_NODE_SETS)
-def periodic_nodes(k: int) -> np.ndarray:
-    """Node set ``k`` of :func:`integrate_periodic`, read-only.
+def integrate_periodic(values) -> float:
+    """Integrate a 2pi-periodic integrand over [-pi, pi) by the trapezoid rule.
 
-    Set 0 holds the 64 nodes of the first two rules: the 32 nodes
-    -pi + 2 pi j / 32 of the first, then the 32 midpoints the first
-    doubling adds (the rule always compares these two, so one call
-    evaluates both).  Set k >= 1 holds the n = 64 * 2^(k-1) midpoints
-    -pi + 2 pi (j + 1/2) / n that the next doubling adds.  Built once per
-    set.
+    ``values`` holds the integrand at :data:`PERIODIC_NODES`; the result is
+    the 128-node rule, and its error estimate the difference from the
+    64-node rule on the first half of the nodes.  For a periodic integrand
+    analytic in a strip around the real axis the rule converges
+    geometrically (Trefethen and Weideman, SIAM Review 56(3), 2014): the
+    BER integrand's Fourier coefficients fall like beta^n, beta = tan(pi/8)
+    for DQPSK.  Two rules agree falsely on Fourier content they both alias,
+    so the estimate is only as good as that decay.
+
+    Raises :class:`QuadratureConvergenceError` (carrying the estimate and
+    its error bound) if that difference exceeds the relative tolerance
+    1e-10 and the absolute tolerance 1e-14.
     """
-    if not 0 <= k < PERIODIC_NODE_SETS:
-        raise ValueError(f"node set must lie in [0, {PERIODIC_NODE_SETS})")
-    n = _PERIODIC_START_NODES << k
-    offsets = np.arange(n, dtype=np.float64) + 0.5
-    if k == 0:
-        offsets = np.concatenate((offsets - 0.5, offsets))
-    nodes = -math.pi + (2.0 * math.pi / n) * offsets
-    nodes.flags.writeable = False
-    return nodes
-
-
-def integrate_periodic(f) -> float:
-    """Integrate a 2pi-periodic ``f`` over [-pi, pi) by the trapezoid rule.
-
-    ``f`` must be vectorized; it is called with the read-only node arrays
-    of :func:`periodic_nodes`.  For a periodic integrand analytic in a strip
-    around the real axis the rule converges geometrically (Trefethen and
-    Weideman, SIAM Review 56(3), 2014).  Nodes are nested: the first call
-    evaluates ``f`` on the 32-node rule and the midpoints of its first
-    doubling, each later call only at the new midpoints, and the error
-    estimate is the difference from the rule on the previous (half) node
-    set.  Nodes double, from 32, until the estimate meets the relative
-    tolerance 1e-10 or the absolute tolerance 1e-14.  Two rules agree
-    falsely on Fourier content they both alias, so the integrand's Fourier
-    coefficients should decay geometrically, as those of the BER integrand
-    do.
-
-    Raises :class:`QuadratureConvergenceError` (carrying the best
-    estimate and its error bound) if 65,536 nodes do not meet them.
-    """
-    return integrate_periodic_sets(lambda k: f(periodic_nodes(k)))
-
-
-def integrate_periodic_sets(values) -> float:
-    """:func:`integrate_periodic` for an integrand given per node set.
-
-    ``values(k)`` returns the integrand on ``periodic_nodes(k)``, so a
-    caller can tabulate what depends only on the nodes once per set.
-    """
-    n = _PERIODIC_START_NODES
-    step = 2.0 * math.pi / n
-    first = values(0)
-    total = float(np.sum(first[:n]))
-    estimate = step * total
-    error = math.inf
-    for k in range(PERIODIC_NODE_SETS):  # one doubling per set, to 65,536 nodes
-        total += float(np.sum(first[n:] if k == 0 else values(k)))
-        n *= 2
-        step *= 0.5
-        previous, estimate = estimate, step * total
-        error = abs(estimate - previous)
-        if error <= max(_ABSOLUTE_TOLERANCE, _RELATIVE_TOLERANCE * abs(estimate)):
-            return estimate
+    coarse = float(np.sum(values[:_PERIODIC_HALF]))
+    total = coarse + float(np.sum(values[_PERIODIC_HALF:]))
+    estimate = (math.pi / _PERIODIC_HALF) * total
+    error = abs(estimate - (2.0 * math.pi / _PERIODIC_HALF) * coarse)
+    if error <= max(_ABSOLUTE_TOLERANCE, _RELATIVE_TOLERANCE * abs(estimate)):
+        return estimate
     raise QuadratureConvergenceError(estimate, error)
 
 
@@ -352,9 +311,7 @@ __all__ = [
     "scaled_e1",
     "bessel_k1_scaled",
     "bessel_k1_complement",
-    "PERIODIC_NODE_SETS",
-    "periodic_nodes",
+    "PERIODIC_NODES",
     "integrate_periodic",
-    "integrate_periodic_sets",
     "integrate_theta",
 ]

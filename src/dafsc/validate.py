@@ -103,7 +103,7 @@ def run_validation_suite(seed: int = DEFAULT_SEED):
 
     # the rule analytical_ber and ber_high_snr_approx integrate with
     closed = 2.0 * math.pi / 0.75
-    got = specfn.integrate_periodic(lambda th: 1.0 / (1.25 + np.sin(th)))
+    got = specfn.integrate_periodic(1.0 / (1.25 + np.sin(specfn.PERIODIC_NODES)))
     add("quadrature.closed_form", abs(got - closed) / closed, 1e-10, "rel err <= 1e-10")
 
     worst = 0.0

@@ -23,7 +23,12 @@ from dafsc.analysis import (
 )
 from dafsc.phy import ModulationParams, PowerProfile
 from dafsc.harness import ExperimentConfig, run_power_allocation_sweep
-from dafsc.specfn import PERIODIC_NODE_SETS, integrate_theta, periodic_nodes, scaled_e1
+from dafsc.specfn import (
+    PERIODIC_NODES,
+    QuadratureConvergenceError,
+    integrate_theta,
+    scaled_e1,
+)
 from dafsc.validate import oracle_ber_2d, outage_quadrature
 from oracles import static_dbpsk_selection_errors
 
@@ -149,7 +154,7 @@ class TestCollapsedIntegrand:
         # the three-term sum cancels down to ~1/t of its terms at high power,
         # so the two forms are compared on the scale of those terms: any
         # algebra slip in a term would show far above a few ulp there
-        theta = np.concatenate([periodic_nodes(k) for k in range(4)])
+        theta = -math.pi + (2.0 * math.pi / 512) * np.arange(512)
         for mod, p_db, q in self.GRID:
             prof = PowerProfile.from_db(float(p_db), q)
             want, scale = _three_term_integrand(theta, mod, prof)
@@ -159,7 +164,7 @@ class TestCollapsedIntegrand:
     def test_rational_part_alone_at_huge_relay_gain(self):
         # (c/A^2) E1s(1/(A^2 s)) ~ c ln(A^2 s) / A^2 vanishes as A grows,
         # leaving the rational part 2/(s t), formed without cancellation
-        theta = periodic_nodes(0)
+        theta = PERIODIC_NODES
         prof = PowerProfile.from_db(40.0, 0.7, 1e150)
         weight, snr_scale = angle_weights(theta, DQPSK)
         c = prof.p0 * snr_scale
@@ -205,18 +210,17 @@ class TestAngleTables:
         for name in ("dqpsk", "dbpsk"):
             run_power_allocation_sweep(ExperimentConfig(modulation=name))
             info = analysis._angle_table.cache_info()
-            assert info.currsize <= info.maxsize == 2 * PERIODIC_NODE_SETS
+            assert info.currsize <= info.maxsize == 2
         assert info.hits > info.misses
         for mod in (DBPSK, DQPSK):
-            for k in range(2):
-                table = analysis._angle_table(mod, k)
-                assert table is analysis._angle_table(mod, k)
-                for column in table:
-                    assert not column.flags.writeable
-                    with pytest.raises(ValueError):
-                        column[0] = 0.0
-                want = angle_weights(periodic_nodes(k), mod)
-                assert all(np.array_equal(a, b) for a, b in zip(table, want))
+            table = analysis._angle_table(mod)
+            assert table is analysis._angle_table(mod)
+            for column in table:
+                assert not column.flags.writeable
+                with pytest.raises(ValueError):
+                    column[0] = 0.0
+            want = angle_weights(PERIODIC_NODES, mod)
+            assert all(np.array_equal(a, b) for a, b in zip(table, want))
 
 class TestAnalyticalBer:
     def test_dbpsk_integral_matches_collapsed_form(self):
@@ -259,6 +263,40 @@ class TestAnalyticalBer:
             prof = PowerProfile.from_db(rng.uniform(-5, 35), rng.uniform(0.1, 0.9))
             v = analytical_ber(DBPSK, prof)
             assert 0.0 < v <= 0.5 + 1e-12
+
+    @pytest.mark.parametrize("mod, p_db", [(DBPSK, 20.0), (DQPSK, 20.0), (DQPSK, 30.0)],
+                             ids=["dbpsk-20dB", "dqpsk-20dB", "dqpsk-30dB"])
+    def test_one_scaled_e1_call_per_point(self, monkeypatch, mod, p_db):
+        # DQPSK at 20 dB met the tolerance on 64 nodes and at 30 dB on 128
+        # under the rule that doubled its nodes until it did; both now take
+        # one call over both E1 arguments at all 128 nodes
+        sizes = []
+
+        def counted(x):
+            sizes.append(np.size(x))
+            return scaled_e1(x)
+
+        monkeypatch.setattr(analysis, "scaled_e1", counted)
+        analytical_ber(mod, PowerProfile.from_db(p_db, 0.7))
+        assert sizes == [2 * PERIODIC_NODES.size]
+
+    def test_rule_converges_on_a_random_sample(self):
+        # powers from -50 to 300 dB, q over (0.001, 0.999), the default relay
+        # gain or 10^U(-8, 8); A^2 (c + 2) stays below 1e50 there, so the
+        # range check rejects none of them
+        rng = np.random.default_rng(32)
+        failed = []
+        for _ in range(2000):
+            p_db, q = rng.uniform(-50.0, 300.0), rng.uniform(0.001, 0.999)
+            amp = None if rng.random() < 0.5 else 10.0 ** rng.uniform(-8.0, 8.0)
+            prof = PowerProfile.from_db(p_db, q, amp)
+            for mod in (DBPSK, DQPSK):
+                for f in (analytical_ber, ber_high_snr_approx):
+                    try:
+                        f(mod, prof)
+                    except QuadratureConvergenceError as err:
+                        failed.append((p_db, q, amp, mod.order, f.__name__, str(err)))
+        assert failed == []
 
     @pytest.mark.parametrize("p_db", [5.0, 10.0])
     def test_describes_snr_selection_not_zeta_selection(self, p_db):

@@ -7,14 +7,12 @@ import pytest
 
 from dafsc import specfn
 from dafsc.specfn import (
-    PERIODIC_NODE_SETS,
+    PERIODIC_NODES,
     QuadratureConvergenceError,
     bessel_k1_complement,
     bessel_k1_scaled,
     integrate_periodic,
-    integrate_periodic_sets,
     integrate_theta,
-    periodic_nodes,
     scaled_e1,
 )
 from dafsc.validate import E1_X, K1_X
@@ -274,14 +272,23 @@ class TestArrayEvaluation:
                              ids=lambda f: f.__name__)
     def test_k1_value_independent_of_its_batch(self, func):
         # each value depends on its argument alone, whatever else its call
-        # holds.  scaled_e1 is left out: its series length and fraction depth
-        # follow the call's extreme arguments, which moves a few values by
-        # some ulp
+        # holds.  scaled_e1 is left out: its series length follows the
+        # call's largest argument below 2, which moves a few values by some
+        # ulp
         rng = np.random.default_rng(31)
         for _ in range(40):
             x = 10.0 ** rng.uniform(-12.0, 3.0, rng.integers(1, 401))
             alone = np.array([func(v) for v in x])
             assert np.array_equal(func(x), alone)
+
+    def test_e1_fraction_value_independent_of_its_batch(self):
+        # above x = 2 the continued fraction runs at one depth, so there too
+        # each value depends on its argument alone
+        rng = np.random.default_rng(32)
+        for _ in range(40):
+            x = 10.0 ** rng.uniform(math.log10(2.0) + 1e-12, 3.0, rng.integers(1, 401))
+            alone = np.array([scaled_e1(v) for v in x])
+            assert np.array_equal(scaled_e1(x), alone)
 
     def test_empty_input(self):
         for func in self.FUNCS:
@@ -372,99 +379,78 @@ class TestIntegrateTheta:
 
 
 class TestIntegratePeriodic:
+    @staticmethod
+    def _rule(f):
+        return integrate_periodic(f(PERIODIC_NODES))
+
     def test_constant_exact(self):
-        got = integrate_periodic(lambda th: np.full_like(th, 3.0))
+        got = self._rule(lambda th: np.full_like(th, 3.0))
         assert got == pytest.approx(6.0 * math.pi, rel=1e-15)
 
     def test_closed_form_rational(self):
         # 2 pi / sqrt(1.25^2 - 1)
-        got = integrate_periodic(lambda th: 1.0 / (1.25 + np.sin(th)))
+        got = self._rule(lambda th: 1.0 / (1.25 + np.sin(th)))
         assert got == pytest.approx(2.0 * math.pi / 0.75, rel=1e-12)
 
     def test_odd_function(self):
-        assert abs(integrate_periodic(np.sin)) <= 1e-14
+        assert abs(self._rule(np.sin)) <= 1e-14
 
     def test_matches_adaptive_rule_on_smooth_periodic(self):
         f = lambda th: np.exp(np.cos(3.0 * th)) / (1.3 + np.sin(th))
-        assert integrate_periodic(f) == pytest.approx(integrate_theta(f), rel=1e-10)
+        assert self._rule(f) == pytest.approx(integrate_theta(f), rel=1e-10)
 
     def test_nested_nodes_evaluated_once(self):
-        seen = []
-
-        def f(th):
-            seen.append(th)
-            return 1.0 / (1.25 + np.sin(th))
-
-        integrate_periodic(f)
-        nodes = np.sort(np.concatenate(seen))
-        assert nodes.size == 128
+        # the 64-node rule, then its midpoints: together the 128-node rule,
+        # each node once, with the check's 64-node rule as the first half
+        step = 2.0 * math.pi / 64
+        assert PERIODIC_NODES.shape == (128,)
+        assert np.array_equal(PERIODIC_NODES[:64], -math.pi + step * np.arange(64))
+        assert np.array_equal(PERIODIC_NODES[64:], -math.pi + step * (np.arange(64) + 0.5))
         np.testing.assert_allclose(
-            nodes, -math.pi + 2.0 * math.pi * np.arange(128) / 128, atol=1e-14)
+            np.sort(PERIODIC_NODES), -math.pi + 2.0 * math.pi * np.arange(128) / 128,
+            atol=1e-14)
+        assert not PERIODIC_NODES.flags.writeable
+        with pytest.raises(ValueError):
+            PERIODIC_NODES[0] = 0.0
 
-    def test_node_sets_are_the_nested_rule(self):
-        # set 0: the 32-node rule and its 32 midpoints; then the midpoints
-        # each further doubling adds
-        n, step = 32, 2.0 * math.pi / 32
-        rules = [-math.pi + step * np.arange(n)]
-        while n < 1 << 16:
-            rules.append(-math.pi + step * (np.arange(n) + 0.5))
-            n *= 2
-            step *= 0.5
-        assert np.array_equal(periodic_nodes(0), np.concatenate(rules[:2]))
-        for k in range(1, PERIODIC_NODE_SETS):
-            assert np.array_equal(periodic_nodes(k), rules[k + 1])
-        assert len(rules) == PERIODIC_NODE_SETS + 1
-        for k in (0, PERIODIC_NODE_SETS - 1):
-            assert periodic_nodes(k) is periodic_nodes(k)
-            assert not periodic_nodes(k).flags.writeable
-        for k in (-1, PERIODIC_NODE_SETS):
-            with pytest.raises(ValueError):
-                periodic_nodes(k)
-
-    @staticmethod
-    def _one_set_per_call(f):
-        # the rule building its nodes on every call and evaluating one node
-        # set per call, as before node sets were tabulated
-        n = 32
-        step = 2.0 * math.pi / n
-        total = float(np.sum(f(-math.pi + step * np.arange(n))))
-        estimate = step * total
-        while n < 1 << 16:
-            total += float(np.sum(f(-math.pi + step * (np.arange(n) + 0.5))))
-            n *= 2
-            step *= 0.5
-            previous, estimate = estimate, step * total
-            if abs(estimate - previous) <= max(1e-14, 1e-10 * abs(estimate)):
-                return estimate
-        raise AssertionError("reference rule did not converge")
-
-    @pytest.mark.parametrize("f", [
-        lambda th: 1.0 / (1.25 + np.sin(th)),
-        lambda th: np.exp(np.cos(3.0 * th)) / (1.3 + np.sin(th)),
-        lambda th: 1.0 / (1.01 + np.sin(th)),
-    ])
-    def test_bitwise_equal_to_one_set_per_call(self, f):
-        want = self._one_set_per_call(f)
-        assert integrate_periodic(f) == want
-        assert integrate_periodic_sets(lambda k: f(periodic_nodes(k))) == want
+    @pytest.mark.parametrize("delta, passes", [(1.9e-10, True), (2.1e-10, False)],
+                             ids=["within", "beyond"])
+    def test_checked_against_its_64_node_half(self, delta, passes):
+        # 1 on the 64-node rule, 1 + delta on its midpoints: the 128-node
+        # rule gives 2 pi (1 + delta/2), the 64-node rule 2 pi, so their
+        # difference is delta/2 relative, against the tolerance 1e-10
+        values = np.concatenate((np.ones(64), np.full(64, 1.0 + delta)))
+        want = 2.0 * math.pi * (1.0 + 0.5 * delta)
+        if passes:
+            assert integrate_periodic(values) == pytest.approx(want, rel=1e-15)
+            return
+        with pytest.raises(QuadratureConvergenceError) as info:
+            integrate_periodic(values)
+        assert info.value.estimate == pytest.approx(want, rel=1e-15)
+        assert info.value.error_estimate == pytest.approx(math.pi * delta, rel=1e-5)
 
     def test_convergence_error_carries_estimate(self):
-        with pytest.raises(QuadratureConvergenceError) as info:
-            integrate_periodic(lambda th: np.abs(np.sin(th - 1.0)))
-        err = info.value
-        assert np.isfinite(err.estimate) and err.estimate > 0
-        assert err.error_estimate > 0
+        for f, exact in (
+                # kinks off the nodes make the rule converge only algebraically
+                (lambda th: np.abs(np.sin(th - 1.0)), 4.0),
+                # a pole 0.14 off the real axis: coefficients fall like 0.87^n
+                (lambda th: 1.0 / (1.01 + np.sin(th)),
+                 2.0 * math.pi / math.sqrt(1.01**2 - 1.0))):
+            with pytest.raises(QuadratureConvergenceError) as info:
+                self._rule(f)
+            err = info.value
+            assert np.isfinite(err.estimate) and err.estimate > 0
+            assert err.error_estimate > 0
+            assert err.estimate == pytest.approx(exact, rel=1e-3)
 
     def test_node_ceiling(self):
-        # kinks off the nodes make the rule converge only algebraically:
-        # the node ceiling stops it
-        count = [0]
-
-        def kinked(th):
-            count[0] += th.size
-            return np.abs(np.sin(th - 1.0))
-
+        # the rule stops at its 128 nodes: the estimate is the 128-node rule
+        # and its error the gap to the 64-node rule, here far above tolerance
+        kinked = lambda th: np.abs(np.sin(th - 1.0))
         with pytest.raises(QuadratureConvergenceError) as info:
-            integrate_periodic(kinked)
-        assert count[0] == 1 << 16
-        assert info.value.estimate == pytest.approx(4.0, rel=1e-8)
+            self._rule(kinked)
+        fine = (2.0 * math.pi / 128) * float(np.sum(kinked(np.sort(PERIODIC_NODES))))
+        coarse = (2.0 * math.pi / 64) * float(np.sum(kinked(PERIODIC_NODES[:64])))
+        assert info.value.estimate == pytest.approx(fine, rel=1e-14)
+        assert info.value.error_estimate == pytest.approx(abs(fine - coarse), rel=1e-9)
+        assert info.value.error_estimate > 1e-4
