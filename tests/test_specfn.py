@@ -402,16 +402,61 @@ class TestIntegratePeriodic:
     def test_nested_nodes_evaluated_once(self):
         # the 64-node rule, then its midpoints: together the 128-node rule,
         # each node once, with the check's 64-node rule as the first half
-        step = 2.0 * math.pi / 64
         assert PERIODIC_NODES.shape == (128,)
-        assert np.array_equal(PERIODIC_NODES[:64], -math.pi + step * np.arange(64))
-        assert np.array_equal(PERIODIC_NODES[64:], -math.pi + step * (np.arange(64) + 0.5))
+        assert np.unique(PERIODIC_NODES).size == 128
         np.testing.assert_allclose(
             np.sort(PERIODIC_NODES), -math.pi + 2.0 * math.pi * np.arange(128) / 128,
             atol=1e-14)
         assert not PERIODIC_NODES.flags.writeable
         with pytest.raises(ValueError):
             PERIODIC_NODES[0] = 0.0
+
+    def test_node_sets_are_the_nested_rule(self):
+        # set 0: the 64-node rule, itself the 32-node rule and its midpoints;
+        # set 1: the midpoints the doubling to 128 nodes adds
+        n, step = 32, 2.0 * math.pi / 32
+        rules = [-math.pi + step * np.arange(n)]
+        while n < 128:
+            rules.append(-math.pi + step * (np.arange(n) + 0.5))
+            n *= 2
+            step *= 0.5
+        coarse, fine = PERIODIC_NODES[:64], PERIODIC_NODES[64:]
+        assert np.array_equal(coarse, -math.pi + (2.0 * math.pi / 64) * np.arange(64))
+        assert np.array_equal(fine, rules[2])
+        np.testing.assert_allclose(coarse[::2], rules[0], rtol=0, atol=1e-15)
+        np.testing.assert_allclose(coarse[1::2], rules[1], rtol=0, atol=1e-15)
+        np.testing.assert_allclose(
+            fine, 0.5 * (coarse + np.append(coarse[1:], math.pi)), rtol=0, atol=1e-15)
+
+    @staticmethod
+    def _one_set_per_call(f):
+        # the rule building its nodes on every call and evaluating the
+        # 64-node rule and its midpoints in one call each
+        step = 2.0 * math.pi / 64
+        coarse = float(np.sum(f(-math.pi + step * np.arange(64))))
+        total = coarse + float(np.sum(f(-math.pi + step * (np.arange(64) + 0.5))))
+        estimate = 0.5 * step * total
+        error = abs(estimate - step * coarse)
+        if error <= max(1e-14, 1e-10 * abs(estimate)):
+            return estimate
+        raise QuadratureConvergenceError(estimate, error)
+
+    @pytest.mark.parametrize("f", [
+        lambda th: 1.0 / (1.25 + np.sin(th)),
+        lambda th: np.exp(np.cos(3.0 * th)) / (1.3 + np.sin(th)),
+        # too near its pole for 128 nodes: both raise, with equal figures
+        lambda th: 1.0 / (1.01 + np.sin(th)),
+    ])
+    def test_bitwise_equal_to_one_set_per_call(self, f):
+        try:
+            want = self._one_set_per_call(f)
+        except QuadratureConvergenceError as expected:
+            with pytest.raises(QuadratureConvergenceError) as info:
+                self._rule(f)
+            assert info.value.estimate == expected.estimate
+            assert info.value.error_estimate == expected.error_estimate
+            return
+        assert self._rule(f) == want
 
     @pytest.mark.parametrize("delta, passes", [(1.9e-10, True), (2.1e-10, False)],
                              ids=["within", "beyond"])
