@@ -89,6 +89,13 @@ def _angle_table(mod: ModulationParams):
     return table
 
 
+@functools.lru_cache(maxsize=2)
+def _snr_scale_max(mod: ModulationParams) -> float:
+    """The largest SNR scale on the nodes (at theta = pi/2), which bounds
+    c = p0 snr_scale in :func:`analytical_ber`'s range check."""
+    return float(_angle_table(mod)[1].max())
+
+
 def _ber_integrand(weight, snr_scale, profile: PowerProfile):
     """The BER integrand at angles with the given :func:`angle_weights`.
 
@@ -124,7 +131,7 @@ def analytical_ber(mod: ModulationParams, profile: PowerProfile) -> float:
     """
     weight, snr_scale = _angle_table(mod)
     a2 = profile.amplification**2
-    c = profile.p0 * float(snr_scale.max())  # at theta = pi/2
+    c = profile.p0 * _snr_scale_max(mod)
     if not (math.isfinite(a2 * (c + 2.0)) and math.isfinite(c / a2)):
         raise ValueError(f"amplification {profile.amplification!r} is out of the "
                          f"closed form's range at p0 = {profile.p0!r}")

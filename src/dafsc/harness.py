@@ -321,17 +321,17 @@ def write_ber_csv(fh, points) -> None:
 def write_outage_csv(fh, grid) -> None:
     """Write an ``OutageGrid`` as CSV to the open text file ``fh``, one row
     per cell, powers outer and one ``write`` per power.  Each power and each
-    threshold is formatted once, by position, so -0.0 keeps its sign."""
-    g_cells = [f"{g:.2f}," for g in grid.gamma_th_db]
-    no_mc = [f",,,{grid.draws}\n"] * len(g_cells)
+    threshold is formatted once, by position, so -0.0 keeps its sign; a
+    power's rows are one %-template, filled with its values in row order."""
+    mc = grid.mc_estimate is not None
+    cells = "%.5e,%.5e,%.5e" if mc else "%.5e,,"
+    # "" first, so that joining on a power's lead puts it before every row
+    rows = ["", *(f"{g:.2f},{cells},{grid.draws}\n" for g in grid.gamma_th_db)]
     fh.write(",".join(OUTAGE_CSV_HEADER) + "\n")
     for i, p_db in enumerate(grid.power_db):
-        lead = f"{p_db:.2f},"
-        tails = no_mc if grid.mc_estimate is None else [
-            f",{m:.5e},{c:.5e},{grid.draws}\n" for m, c in
-            zip(grid.mc_estimate[i].tolist(), grid.ci_halfwidth[i].tolist())]
-        fh.write("".join([f"{lead}{g}{a:.5e}{t}" for g, a, t in
-                          zip(g_cells, grid.analytical[i].tolist(), tails)]))
+        values = np.column_stack((grid.analytical[i], grid.mc_estimate[i],
+                                  grid.ci_halfwidth[i])) if mc else grid.analytical[i]
+        fh.write(f"{p_db:.2f},".join(rows) % tuple(values.ravel().tolist()))
 
 
 __all__ = [

@@ -13,11 +13,12 @@ Both integrators check their estimate against one fixed tolerance, relative
 adaptive one over at most 500 bisections.
 
 The special functions are array code on numpy: each call evaluates its
-whole argument array (masked series and continued-fraction or quadrature
-branches, an empty branch skipped), keeps the shape of the input, and
-returns a float for a scalar argument.
+whole argument array (series and continued-fraction or quadrature
+branches, one kernel for the whole call unless it straddles the split),
+keeps the shape of the input, and returns a float for a scalar argument.
 """
 
+import bisect
 import functools
 import math
 
@@ -25,18 +26,41 @@ import numpy as np
 
 _EULER_GAMMA = 0.5772156649015328606
 
+
+def _operands(values):
+    # Read-only 0-d float64 arrays.  As ufunc operands they are the same
+    # float64 values as Python floats, but numpy skips the conversion of a
+    # Python scalar: an add to 256 doubles costs ~0.41 us with one and
+    # ~0.70 us with a float (2-vCPU Xeon, numpy 2.4).
+    out = [np.array(v, dtype=np.float64) for v in values]
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
 # Series / continued-fraction split of E1.  Above x = 2 a backward
 # continued fraction of depth 60 is exact to the last ulp (its error is
 # below 1e-16 from x = 1.5 on); below it the alternating series loses at
 # most ~30 ulp to cancellation.
 _E1_SPLIT = 2.0
 _E1_CF_DEPTH = 60
+# Level i of the fraction (i = 60 down to 1) is i^2 / (x + 2i + 1 - level
+# i + 1).  The offsets 2i + 1 of every level, then the 1 of the final x + 1,
+# form one read-only column: one broadcast add makes all the denominators,
+# and each level is one subtract and one divide in place.
+_E1_CF_OFFSETS = np.arange(2.0 * _E1_CF_DEPTH + 1.0, 0.0, -2.0)[:, None]
+_E1_CF_OFFSETS.flags.writeable = False
+_E1_CF_SQUARES = _operands(i * i for i in range(_E1_CF_DEPTH, 0, -1))
+# Arguments per block of those (61 x block) levels: at most 2 MB, where one
+# block for the whole call would hold 61 doubles an argument (0.5 GB for
+# 10^6 arguments).  The exact BER's calls hold 256 arguments at most.
+_E1_CF_BLOCK = 4096
 
 # Power-series coefficients, index k standing for x^(k+1) (E1) or q^k (K1).
 _K = np.arange(40)
 _FACT = np.cumprod(np.concatenate(([1.0], np.arange(1.0, 42.0))))  # 0! .. 41!
 # E1(x) = -gamma - ln x - x * sum_k _E1_COEFFS[k] x^k,  (-1)^(k+1)/((k+1)(k+1)!)
-_E1_COEFFS = (-1.0) ** (_K + 1) / ((_K + 1) * _FACT[_K + 1])
+_E1_COEFFS = _operands((-1.0) ** (_K + 1) / ((_K + 1) * _FACT[_K + 1]))
 # K1 ascending series in q = x^2/4: sum_k q^k/(k!(k+1)!) and the same
 # weighted by psi(k+1) + psi(k+2)
 _K1_I1_COEFFS = 1.0 / (_FACT[_K] * _FACT[_K + 1])
@@ -44,11 +68,16 @@ _K1_PSI = -2.0 * _EULER_GAMMA + 1.0 + np.concatenate(
     ([0.0], np.cumsum(1.0 / _K[1:] + 1.0 / (_K[1:] + 1.0))))
 _K1_LOG_COEFFS = _K1_PSI * _K1_I1_COEFFS
 # Reach of each E1 term: below 1e-19 (1e-17 of E1 >= 0.0489 on (0, 2]).
-_E1_REACH = (1e-19 / np.abs(_E1_COEFFS)) ** (1.0 / (_K + 1))
+_E1_REACH = ((1e-19 / np.abs(_E1_COEFFS)) ** (1.0 / (_K + 1))).tolist()
 # Terms of both K1 series: those before the first below 1e-20 at the split
 # (q = 1), 13.  One length for every call keeps each value a function of its
 # argument alone; a length per call saved nothing on the outage grid.
 _K1_TERMS = int(np.argmax(np.maximum(np.abs(_K1_LOG_COEFFS), _K1_I1_COEFFS) < 1e-20))
+# Two passes over (n,) beat one over (2, n) with (2, 1) coefficient columns,
+# whose broadcast add costs more than it saves: 23 against 36 us for both
+# series at 700 arguments (2-vCPU Xeon, numpy 2.4)
+_K1_I1_TERMS = _operands(_K1_I1_COEFFS[:_K1_TERMS])
+_K1_LOG_TERMS = _operands(_K1_LOG_COEFFS[:_K1_TERMS])
 # Series / trapezoid split of K1.  Below it 1 - x K1(x) comes from the
 # series without its leading 1, which loses under 1 bit (see
 # _k1_complement_series), and exp(x)K1(x) = exp(x)(1 - c)/x from it, where
@@ -62,14 +91,16 @@ _K1_NODES = 32
 _K1_NODE_INDEX = np.arange(1.0, _K1_NODES + 1.0)
 # Arguments per (nodes x arguments) block.  A 51 x 801 outage grid makes 36
 # trapezoid calls of 5 to 782 arguments, 13,237 in all; the k1_grid layer
-# of benchmarks/bench_layers.py times them at 1.80 ms (BENCH_27.json,
-# 2-vCPU AMD EPYC); the node loop this replaced takes 3.7-3.9 ms over the
-# same calls (best of 7 x 20 runs).  Blocks are about 3x faster up to 250
-# arguments (35 us against 97 us at 250) and still ahead at 782 (88 against
-# 132 us); the node loop wins from about 900 arguments on (145 against
-# 158 us at 900, 0.61 against 1.08 ms at 10^4), which only a call with
-# more thresholds per power reaches (10^4 thresholds at 30 dB send 1,309
-# arguments).
+# of benchmarks/bench_layers.py times them at 5.14 ms (BENCH_33.json,
+# 2-vCPU Xeon in a slow phase; 5.42 ms on its parent side, before the
+# block's terms were computed in place).
+# Best of 7 x 20 runs, later on that machine, blocks against the node loop
+# they replaced: 5.6 against 9.3 ms over the grid's calls, 78 against
+# 227 us at 250 arguments, 196 against 332 us at 782 and 470 against 567 us
+# at 2,000; the node loop wins from about 4,000 arguments on (1.14 against
+# 1.06 ms at 5,000, 2.28 against 1.94 ms at 10^4), which only a call with
+# many more thresholds per power reaches (10^4 thresholds at 30 dB send
+# 1,309 arguments).
 _K1_BLOCK = 512
 
 # Both integrators accept an estimate once its error estimate is at most
@@ -96,29 +127,43 @@ class QuadratureConvergenceError(RuntimeError):
 
 
 def _horner(coeffs, x):
-    acc = np.full_like(x, coeffs[-1])
-    for c in coeffs[-2::-1]:
-        acc *= x
+    # c[0] + x (c[1] + ... + x c[-1]) for 0-d coefficients (_operands),
+    # seeded with c[-1] x: bitwise the loop acc = acc x + c from acc = c[-1],
+    # without an array of that constant.  A lone c[0] is returned as it is,
+    # for the caller to broadcast.
+    if len(coeffs) == 1:
+        return coeffs[0]
+    acc = coeffs[-1] * x
+    for c in coeffs[-2:0:-1]:
         acc += c
+        acc *= x
+    acc += coeffs[0]
     return acc
 
 
 def _e1_series(x):
     # -gamma - ln x - sum_k (-x)^k/(k k!) for x <= 2, to the first term
     # below its tolerance at the call's largest argument
-    n = max(1, int(np.searchsorted(_E1_REACH, x.max(), side="right")))
+    n = max(1, bisect.bisect_right(_E1_REACH, x.max()))
     return -_EULER_GAMMA - np.log(x) - x * _horner(_E1_COEFFS[:n], x)
 
 
 def _e1_cf_scaled(x):
     # exp(x)*E1(x) = 1/(x+1- 1/(x+3- 4/(x+5- 9/(x+7- ...)))) for x > 2,
-    # evaluated backward from one depth for every argument
-    tail = np.zeros_like(x)
-    for i in range(_E1_CF_DEPTH, 0, -1):
-        denom = x + (2.0 * i + 1.0)
-        denom -= tail
-        np.divide(float(i * i), denom, out=tail)
-    return 1.0 / ((x + 1.0) - tail)
+    # evaluated backward from one depth for every argument; the deepest
+    # level has no level below it to subtract
+    out = np.empty_like(x)
+    for start in range(0, x.size, _E1_CF_BLOCK):
+        cols = slice(start, start + _E1_CF_BLOCK)
+        levels = x[cols] + _E1_CF_OFFSETS
+        tail = np.divide(_E1_CF_SQUARES[0], levels[0], out=levels[0])
+        for square, denom in zip(_E1_CF_SQUARES[1:], levels[1:-1]):
+            denom -= tail
+            tail = np.divide(square, denom, out=denom)
+        last = levels[-1]
+        last -= tail
+        np.divide(1.0, last, out=out[cols])
+    return out
 
 
 def _k1_complement_series(x):
@@ -129,8 +174,8 @@ def _k1_complement_series(x):
     # under 4 % of -ln(x/2) I1(x) there, so the sum loses less than one bit
     q = 0.25 * x * x
     half_x = 0.5 * x
-    i1 = half_x * _horner(_K1_I1_COEFFS[:_K1_TERMS], q)
-    tail = 0.5 * half_x * _horner(_K1_LOG_COEFFS[:_K1_TERMS], q)
+    i1 = half_x * _horner(_K1_I1_TERMS, q)
+    tail = 0.5 * half_x * _horner(_K1_LOG_TERMS, q)
     return x * (tail - np.log(half_x) * i1)
 
 
@@ -148,9 +193,18 @@ def _k1_scaled_trapezoid(x):
     acc = np.full_like(x, 0.5)  # integrand value 1 at t = 0, half weight
     for start in range(0, x.size, _K1_BLOCK):
         cols = slice(start, start + _K1_BLOCK)
-        m2sh2 = -2.0 * np.sinh(np.multiply.outer(_K1_NODE_INDEX, half_step[cols])) ** 2
-        for term in np.exp(x[cols] * m2sh2) * (1.0 - m2sh2):
-            acc[cols] += term
+        # -2 sinh^2(k h) and exp(x (-2 sinh^2)) (1 + 2 sinh^2), each op in
+        # place on one of two (nodes x block) arrays
+        m2sh2 = np.multiply.outer(_K1_NODE_INDEX, half_step[cols])
+        np.sinh(m2sh2, out=m2sh2)
+        np.square(m2sh2, out=m2sh2)
+        m2sh2 *= -2.0
+        terms = np.multiply(x[cols], m2sh2)
+        np.exp(terms, out=terms)
+        terms *= np.subtract(1.0, m2sh2, out=m2sh2)
+        block = acc[cols]
+        for term in terms:
+            block += term
     return (2.0 * half_step) * acc
 
 
@@ -162,20 +216,22 @@ def _k1_complement_large(x):
 
 def _evaluate(x, name, split, below, above):
     """Evaluate the 1-d array kernels ``below`` where x <= split and
-    ``above`` elsewhere, skipping an empty side; ``x`` must be positive.
-    Keeps the shape of ``x`` and returns a float for a scalar."""
+    ``above`` elsewhere; ``x`` must be positive.  The call's minimum and
+    maximum pick one kernel for the whole array; a mask is built only when
+    the call straddles the split.  Keeps the shape of ``x`` and returns a
+    float for a scalar."""
     arr = np.asarray(x, dtype=np.float64)
     flat = arr.reshape(-1)
-    if flat.size and not flat.min() > 0.0:  # NaN fails it too
-        raise ValueError(f"{name} requires strictly positive arguments")
-    low = flat <= split
     if not flat.size:
         out = np.empty(0)
-    elif low.all():
-        out = below(flat)
-    elif not low.any():
+    elif not (lowest := flat.min()) > 0.0:  # NaN fails it too
+        raise ValueError(f"{name} requires strictly positive arguments")
+    elif lowest > split:
         out = above(flat)
+    elif flat.max() <= split:
+        out = below(flat)
     else:
+        low = flat <= split
         out = np.empty_like(flat)
         out[low] = below(flat[low])
         out[~low] = above(flat[~low])
@@ -245,8 +301,8 @@ def integrate_periodic(values) -> float:
     its error bound) if that difference exceeds the relative tolerance
     1e-10 and the absolute tolerance 1e-14.
     """
-    coarse = float(np.sum(values[:_PERIODIC_HALF]))
-    total = coarse + float(np.sum(values[_PERIODIC_HALF:]))
+    coarse = float(values[:_PERIODIC_HALF].sum())
+    total = coarse + float(values[_PERIODIC_HALF:].sum())
     estimate = (math.pi / _PERIODIC_HALF) * total
     error = abs(estimate - (2.0 * math.pi / _PERIODIC_HALF) * coarse)
     if error <= max(_ABSOLUTE_TOLERANCE, _RELATIVE_TOLERANCE * abs(estimate)):

@@ -8,8 +8,12 @@ by one, the definition that the production synthesizer evaluates by angle
 addition.  :func:`static_dbpsk_selection_errors` runs DBPSK symbol by
 symbol over static channels under two selection rules, to tell which
 receiver the exact BER describes.  :func:`mpmath_special_values` gives
-the 40-digit values the special-function kernels are checked against.  The
-analytical oracles live in :mod:`dafsc.validate`.
+the 40-digit values the special-function kernels are checked against.
+:func:`scaled_e1`, :func:`bessel_k1_scaled` and :func:`bessel_k1_complement`
+are the array kernels of :mod:`dafsc.specfn` in their earlier form, op by
+op, and :func:`analytical_ber` the exact BER built on them: the values that
+the trimmed kernels must equal bit for bit.  The analytical oracles live in
+:mod:`dafsc.validate`.
 """
 
 import functools
@@ -17,6 +21,9 @@ import math
 
 import mpmath as mp
 import numpy as np
+
+from dafsc import specfn
+from dafsc.analysis import angle_weights
 
 
 @functools.cache
@@ -117,3 +124,107 @@ def static_dbpsk_selection_errors(profile, n_symbols, rng, chunk=100_000):
         for rule, relayed in enumerate((by_snr, by_zeta)):
             errors[rule] += int(np.count_nonzero(np.where(relayed, z_rd, z_sd).real < 0.0))
     return tuple(errors)
+
+
+def _horner(coeffs, x):
+    # from an array of the last coefficient, one multiply and one add a term
+    acc = np.full_like(x, coeffs[-1])
+    for c in coeffs[-2::-1]:
+        acc *= x
+        acc += c
+    return acc
+
+
+def _e1_series(x):
+    n = max(1, int(np.searchsorted(np.array(specfn._E1_REACH), x.max(), side="right")))
+    return -specfn._EULER_GAMMA - np.log(x) - x * _horner(np.array(specfn._E1_COEFFS[:n]), x)
+
+
+def _e1_fraction(x):
+    # three ops a level: x + (2i + 1), minus the level below, i^2 over that
+    tail = np.zeros_like(x)
+    for i in range(specfn._E1_CF_DEPTH, 0, -1):
+        denom = x + (2.0 * i + 1.0)
+        denom -= tail
+        np.divide(float(i * i), denom, out=tail)
+    return 1.0 / ((x + 1.0) - tail)
+
+
+def _k1_complement_series(x):
+    # the I1 and the psi-weighted series, each by its own Horner pass
+    q = 0.25 * x * x
+    half_x = 0.5 * x
+    i1 = half_x * _horner(specfn._K1_I1_COEFFS[:specfn._K1_TERMS], q)
+    tail = 0.5 * half_x * _horner(specfn._K1_LOG_COEFFS[:specfn._K1_TERMS], q)
+    return x * (tail - np.log(half_x) * i1)
+
+
+def _k1_trapezoid(x):
+    # each block's (nodes x block) terms as new arrays, one op at a time
+    half_step = np.arcsinh(np.sqrt(22.5 / x)) / specfn._K1_NODES
+    x = np.minimum(x, np.finfo(np.float64).max)
+    acc = np.full_like(x, 0.5)
+    for start in range(0, x.size, specfn._K1_BLOCK):
+        cols = slice(start, start + specfn._K1_BLOCK)
+        m2sh2 = -2.0 * np.sinh(np.multiply.outer(specfn._K1_NODE_INDEX, half_step[cols])) ** 2
+        for term in np.exp(x[cols] * m2sh2) * (1.0 - m2sh2):
+            acc[cols] += term
+    return (2.0 * half_step) * acc
+
+
+def _evaluate(x, split, below, above):
+    # the branch by a mask over the whole call, built on every call
+    arr = np.asarray(x, dtype=np.float64)
+    flat = arr.reshape(-1)
+    assert not flat.size or flat.min() > 0.0
+    low = flat <= split
+    if not flat.size:
+        out = np.empty(0)
+    elif low.all():
+        out = below(flat)
+    elif not low.any():
+        out = above(flat)
+    else:
+        out = np.empty_like(flat)
+        out[low] = below(flat[low])
+        out[~low] = above(flat[~low])
+    out = out.reshape(arr.shape)
+    return float(out) if arr.ndim == 0 else out
+
+
+def scaled_e1(x):
+    """exp(x) E1(x): the series up to x = 2, the fraction above."""
+    return _evaluate(x, specfn._E1_SPLIT, lambda v: np.exp(v) * _e1_series(v), _e1_fraction)
+
+
+def bessel_k1_scaled(x):
+    """exp(x) K1(x): from the complement series up to x = 2, the trapezoid above."""
+    return _evaluate(x, specfn._K1_SPLIT,
+                     lambda v: np.exp(v) * (1.0 - _k1_complement_series(v)) / v,
+                     _k1_trapezoid)
+
+
+def bessel_k1_complement(x):
+    """1 - x K1(x): the series up to x = 2, 1 - x e^(-x) (e^x K1(x)) above."""
+    return _evaluate(x, specfn._K1_SPLIT, _k1_complement_series, _k1_complement_large)
+
+
+def _k1_complement_large(x):
+    x = np.minimum(x, 50.0)
+    return 1.0 - x * bessel_k1_scaled(x) * np.exp(-x)
+
+
+def analytical_ber(mod, profile):
+    """The exact BER's 128-node rule over the integrand built from
+    :func:`scaled_e1`, each half summed by ``np.sum``; no range or
+    convergence check."""
+    weight, snr_scale = angle_weights(specfn.PERIODIC_NODES, mod)
+    a2 = profile.amplification**2
+    c = profile.p0 * snr_scale
+    st = c + np.array([[1.0], [2.0]])
+    s, t = st
+    e1 = scaled_e1(1.0 / (a2 * st)) / (st * st)
+    values = weight * (2.0 / (s * t) + (c / a2) * (e1[0] - e1[1]))
+    coarse = float(np.sum(values[:64]))
+    total = coarse + float(np.sum(values[64:]))
+    return (math.pi / 64) * total / (4.0 * math.pi)

@@ -30,6 +30,7 @@ from dafsc.specfn import (
     scaled_e1,
 )
 from dafsc.validate import oracle_ber_2d, outage_quadrature
+import oracles
 from oracles import static_dbpsk_selection_errors
 
 DBPSK = ModulationParams.dbpsk()
@@ -223,6 +224,16 @@ class TestAngleTables:
             assert all(np.array_equal(a, b) for a, b in zip(table, want))
 
 class TestAnalyticalBer:
+    def test_bitwise_equal_to_earlier_kernels_on_the_sweep(self):
+        # the DQPSK sweep of the benchmark's analytic workload, 0 to 50 dB x
+        # q = 0.01 to 0.99: each value equals the one built from the earlier
+        # kernels and sums (oracles.analytical_ber), bit for bit
+        for p_db in range(0, 51, 5):
+            for i in range(99):
+                prof = PowerProfile.from_db(float(p_db), float(f"{0.01 + 0.01 * i:.10g}"))
+                assert (analytical_ber(DQPSK, prof).hex()
+                        == oracles.analytical_ber(DQPSK, prof).hex()), (p_db, i)
+
     def test_dbpsk_integral_matches_collapsed_form(self):
         # the DBPSK integrand has weight 1 and SNR scale 1 at every angle,
         # so its integral over 4 pi is half its value at any one angle

@@ -610,6 +610,45 @@ class TestCsv:
             "-0.00,1.00,1.00000e+00,,,0",
         ]
 
+    @staticmethod
+    def _outage_csv_cell_by_cell(grid):
+        # one f-string a cell, the writer's definition
+        lines = [",".join(harness.OUTAGE_CSV_HEADER)]
+        for i, p_db in enumerate(grid.power_db):
+            for j, g_db in enumerate(grid.gamma_th_db):
+                mc = "," if grid.mc_estimate is None else (
+                    f"{grid.mc_estimate[i, j]:.5e},{grid.ci_halfwidth[i, j]:.5e}")
+                lines.append(f"{p_db:.2f},{g_db:.2f},{grid.analytical[i, j]:.5e},"
+                             f"{mc},{grid.draws}")
+        return "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize("with_mc", [False, True], ids=["closed_form", "monte_carlo"])
+    def test_outage_csv_equals_cell_by_cell(self, with_mc):
+        rng = np.random.default_rng(34)
+        special = [1e-300, 5e-324, 0.0, 1.0, -0.0, 0.5]
+        power_db = (-0.0, 0.0, 12.345, -7.5)
+        gamma_th_db = (0.0, -0.0, -10.0, 1.005, 30.0, 2.5, -0.004, 0.004)
+        shape = (len(power_db), len(gamma_th_db))
+
+        def cells():
+            values = rng.uniform(0.0, 1.0, shape)
+            values.flat[rng.permutation(values.size)[:len(special)]] = special
+            return values
+
+        grid = harness.OutageGrid(
+            power_db=power_db, gamma_th_db=gamma_th_db, analytical=cells(),
+            mc_estimate=cells() if with_mc else None,
+            ci_halfwidth=cells() if with_mc else None, draws=1000 if with_mc else 0)
+        buf = io.StringIO()
+        write_outage_csv(buf, grid)
+        assert buf.getvalue() == self._outage_csv_cell_by_cell(grid)
+        empty = dataclasses.replace(grid, gamma_th_db=(), analytical=np.empty((4, 0)),
+                                    mc_estimate=np.empty((4, 0)) if with_mc else None,
+                                    ci_halfwidth=np.empty((4, 0)) if with_mc else None)
+        buf = io.StringIO()
+        write_outage_csv(buf, empty)
+        assert buf.getvalue() == self._outage_csv_cell_by_cell(empty)
+
     def test_outage_csv_schema(self, tmp_path):
         cfg = ExperimentConfig(power_db=(10.0,), seed=5)
         rows = run_outage_curve(cfg, gamma_th_db=(0.0,))

@@ -16,6 +16,7 @@ from dafsc.specfn import (
     scaled_e1,
 )
 from dafsc.validate import E1_X, K1_X
+import oracles
 from oracles import mpmath_special_values
 
 # NaN, alone and inside an array, fails every domain check
@@ -301,6 +302,49 @@ class TestArrayEvaluation:
         # +inf alone and inside an array, with no warning
         assert func(math.inf) == limit
         assert func(np.array([3.0, math.inf]))[1] == limit
+
+
+class TestAgainstEarlierKernels:
+    """The kernels equal their earlier op-by-op forms (``oracles``) bit for
+    bit: the fraction's three ops a level, the Horner pass from an array of
+    the last coefficient, the mask dispatch and the two K1 series."""
+
+    FUNCS = [(scaled_e1, oracles.scaled_e1),
+             (bessel_k1_scaled, oracles.bessel_k1_scaled),
+             (bessel_k1_complement, oracles.bessel_k1_complement)]
+    SAMPLE = 10.0 ** np.random.default_rng(33).uniform(-12.0, 3.0, 4_000)
+    BATCHES = {
+        "log_uniform": SAMPLE,
+        "below_split": SAMPLE[SAMPLE <= 2.0],
+        "above_split": SAMPLE[SAMPLE > 2.0],
+        "straddling": np.concatenate((SAMPLE[:100], [2.0, np.nextafter(2.0, 3.0)])),
+        "one_term_series": SAMPLE[SAMPLE < 5e-10],
+        # more arguments above x = 2 than one block of the E1 fraction or
+        # of the K1 trapezoid holds
+        "many_blocks": 10.0 ** np.random.default_rng(35).uniform(0.31, 3.0, 9_000),
+        "at_split": np.array([2.0]),
+        "one_element": SAMPLE[:1],
+        "zero_d": np.array(0.37),
+        "scalar": 7.5,
+        "infinite": np.array([math.inf, 0.5, 40.0]),
+        "inf_alone": math.inf,
+    }
+
+    @pytest.mark.parametrize("batch", sorted(BATCHES))
+    @pytest.mark.parametrize("func, oracle", FUNCS, ids=[f.__name__ for f, _ in FUNCS])
+    def test_bitwise_equal(self, func, oracle, batch):
+        x = self.BATCHES[batch]
+        got, want = func(x), oracle(x)
+        assert type(got) is type(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        assert np.shape(got) == np.shape(want)
+
+    def test_batches_reach_every_case(self):
+        # no batch is empty, and one is short enough for an E1 series of one
+        # term (its largest argument below the reach of the second term)
+        assert all(np.size(x) for x in self.BATCHES.values())
+        assert self.BATCHES["one_term_series"].max() < specfn._E1_REACH[1]
+        assert self.SAMPLE.max() > 900.0
 
 
 class TestIntegrateTheta:
