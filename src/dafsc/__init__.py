@@ -13,7 +13,6 @@ loaded only by ``dafsc validate``), and the CLI (``cli``).
 
 from .analysis import (
     analytical_ber,
-    ber_high_snr_approx,
     conditional_gamma_max_cdf,
     outage_probability,
 )
@@ -38,7 +37,6 @@ __all__ = [
     "BACKEND",
     "HAS_NUMBA",
     "analytical_ber",
-    "ber_high_snr_approx",
     "conditional_gamma_max_cdf",
     "outage_probability",
     "FadingConfig",

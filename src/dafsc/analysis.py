@@ -1,18 +1,18 @@
 """Closed-form performance analysis of the selection-combining receiver.
 
-Exact average bit error rate, its high-power diversity approximation, and
-the outage probability of the combiner output SNR, all in linear power
-units.  They describe selection by the larger instantaneous SNR; the
-simulated receiver (``phy.chain_error_counts``), like the paper's, selects
-the larger |zeta| and errs more often.  The average BER comes from the
-conditional differential-detection error integral, averaged in closed form
-over the exponential direct-branch SNR and the (conditionally exponential)
+Exact average bit error rate and the outage probability of the combiner
+output SNR, all in linear power units.  They describe selection by the
+larger instantaneous SNR; the simulated receiver
+(``phy.chain_error_counts``), like the paper's, selects the larger |zeta|
+and errs more often.  The average BER comes from the conditional
+differential-detection error integral, averaged in closed form over the
+exponential direct-branch SNR and the (conditionally exponential)
 relayed-branch SNR, leaving a single integral over the angle variable.
-That integrand is periodic and analytic in the angle, so the fixed
-128-node trapezoid rule (:func:`~dafsc.specfn.integrate_periodic`)
-converges geometrically; it meets its tolerance (relative 1e-10) on every
-input tried and raises where it would not.  The angular weights depend only
-on the modulation and the nodes, so they are tabulated once per modulation.
+That integrand is periodic and analytic in the angle, so the fixed 128-node
+trapezoid rule (:func:`~dafsc.specfn.integrate_periodic`) converges
+geometrically; it meets its tolerance (relative 1e-10) on every input tried
+and raises where it would not.  The angular weights depend only on the
+modulation and the nodes, so they are tabulated once per modulation.
 
 The relayed-branch average introduces exponential-integral terms; they are
 evaluated through the exponentially scaled E1, one array call per point,
@@ -138,22 +138,6 @@ def analytical_ber(mod: ModulationParams, profile: PowerProfile) -> float:
     return integrate_periodic(_ber_integrand(weight, snr_scale, profile)) / (4.0 * math.pi)
 
 
-def ber_high_snr_approx(mod: ModulationParams, profile: PowerProfile) -> float:
-    """High-power BER approximation exhibiting the diversity slope of two.
-
-    Replaces both averaged branch terms by their dominant rational parts,
-    which collapses the integrand to
-    2 weight / ((1 + scale p0)(2 + scale p0)); the result decays like
-    1/p0^2.  It drops the ln(A^2 p0) factor of the exact curve
-    (:func:`analytical_ber`), so it lies below the exact value by a ratio
-    that grows like ln(A^2 p0) / A^2.
-    """
-    weight, snr_scale = _angle_table(mod)
-    p0 = profile.p0
-    integrand = weight * 2.0 / ((1.0 + snr_scale * p0) * (2.0 + snr_scale * p0))
-    return integrate_periodic(integrand) / (4.0 * math.pi)
-
-
 def outage_probability(gamma_th, profile: PowerProfile):
     """Probability that the combiner output SNR falls below ``gamma_th``.
 
@@ -209,7 +193,6 @@ __all__ = [
     "relay_branch_mean_snr",
     "conditional_gamma_max_cdf",
     "analytical_ber",
-    "ber_high_snr_approx",
     "outage_probability",
     "draw_combiner_snr",
 ]

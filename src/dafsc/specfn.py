@@ -89,18 +89,10 @@ _K1_SPLIT = 2.0
 # against 50-digit mpmath at 246 points, 32 nodes 7.0e-16).
 _K1_NODES = 32
 _K1_NODE_INDEX = np.arange(1.0, _K1_NODES + 1.0)
-# Arguments per (nodes x arguments) block.  A 51 x 801 outage grid makes 36
-# trapezoid calls of 5 to 782 arguments, 13,237 in all; the k1_grid layer
-# of benchmarks/bench_layers.py times them at 5.14 ms (BENCH_33.json,
-# 2-vCPU Xeon in a slow phase; 5.42 ms on its parent side, before the
-# block's terms were computed in place).
-# Best of 7 x 20 runs, later on that machine, blocks against the node loop
-# they replaced: 5.6 against 9.3 ms over the grid's calls, 78 against
-# 227 us at 250 arguments, 196 against 332 us at 782 and 470 against 567 us
-# at 2,000; the node loop wins from about 4,000 arguments on (1.14 against
-# 1.06 ms at 5,000, 2.28 against 1.94 ms at 10^4), which only a call with
-# many more thresholds per power reaches (10^4 thresholds at 30 dB send
-# 1,309 arguments).
+# Arguments per (nodes x arguments) block, which bounds the (32 x block)
+# temporaries.  Blocks beat the node-by-node loop up to about 4,000
+# arguments a call (BENCH_33.json); a power of the 51 x 801 outage grid
+# sends at most 782.
 _K1_BLOCK = 512
 
 # Both integrators accept an estimate once its error estimate is at most

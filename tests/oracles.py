@@ -12,8 +12,9 @@ the 40-digit values the special-function kernels are checked against.
 :func:`scaled_e1`, :func:`bessel_k1_scaled` and :func:`bessel_k1_complement`
 are the array kernels of :mod:`dafsc.specfn` in their earlier form, op by
 op, and :func:`analytical_ber` the exact BER built on them: the values that
-the trimmed kernels must equal bit for bit.  The analytical oracles live in
-:mod:`dafsc.validate`.
+the trimmed kernels must equal bit for bit.  :func:`high_power_asymptote`
+is the exact BER's closed-form limit at high power, which the exact curve
+must approach.  The quadrature oracles live in :mod:`dafsc.validate`.
 """
 
 import functools
@@ -228,3 +229,29 @@ def analytical_ber(mod, profile):
     coarse = float(np.sum(values[:64]))
     total = coarse + float(np.sum(values[64:]))
     return (math.pi / 64) * total / (4.0 * math.pi)
+
+
+def high_power_integrand(theta, mod, profile):
+    """The integrand over theta of :func:`high_power_asymptote`, times
+    4 pi p0^2: of order one at every power, so that no integrator's
+    absolute tolerance swamps it."""
+    weight, snr_scale = angle_weights(theta, mod)
+    a2 = profile.amplification**2
+    log_term = 2.0 * np.log(a2 * profile.p0 * snr_scale) - 2.0 * np.euler_gamma - 1.0
+    return weight / snr_scale**2 * (2.0 + log_term / a2)
+
+
+def high_power_asymptote(mod, profile):
+    """The exact BER's high-power asymptote at ``profile``.
+
+    With scaled E1(x) = -ln x - gamma + O(x ln x) and t = s + 1, the
+    relayed difference of the BER integrand is -f'(s) + O(ln s / s^4),
+    f = (ln(A^2 s) - gamma) / s^2, so
+    BER p0^2 -> (1/4 pi) int w / sigma^2 [2 + (2 ln(A^2 p0 sigma) - 2 gamma - 1) / A^2] dtheta,
+    w and sigma the weight and SNR scale of
+    :func:`~dafsc.analysis.angle_weights`; its gap to the exact BER falls
+    like ln(p0) / p0.  The angle integral is the plain 128-node trapezoid
+    sum over :data:`~dafsc.specfn.PERIODIC_NODES`: 2 pi times the mean.
+    """
+    values = high_power_integrand(specfn.PERIODIC_NODES, mod, profile)
+    return float(np.mean(values)) / (2.0 * profile.p0**2)

@@ -690,8 +690,22 @@ class TestValidationSuite:
             "quadrature.closed_form",
             "ber.closed_form_vs_2d_quadrature", "fading.variance",
             "fading.autocorrelation", "fading.slow_fading_step",
-            "fading.cross_independence", "diversity.approx_slope",
-            "diversity.approx_below_exact", "outage.closed_form_vs_quadrature"]
+            "fading.cross_independence", "diversity.exact_slope_net_of_log",
+            "outage.closed_form_vs_quadrature"]
+
+    def test_tampered_log_factor_detected(self, monkeypatch):
+        # the BER integrand without its E1 terms, weight 2/((1 + c)(2 + c)):
+        # a curve without the relay branch's ln(A^2 p0) factor, which the
+        # 2-D quadrature and the net-of-log slope (2.146 / 2.143) both reject
+        def log_free(weight, snr_scale, profile):
+            c = profile.p0 * snr_scale
+            return weight * 2.0 / ((1.0 + c) * (2.0 + c))
+
+        monkeypatch.setattr(analysis, "_ber_integrand", log_free)
+        report = run_validation_suite()
+        failing = {c["name"] for c in report["checks"] if not c["passed"]}
+        assert failing == {"ber.closed_form_vs_2d_quadrature",
+                           "diversity.exact_slope_net_of_log"}
 
     def test_tampered_periodic_rule_detected(self, monkeypatch):
         true_rule = specfn.integrate_periodic
